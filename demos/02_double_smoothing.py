@@ -10,7 +10,6 @@ quantized reconstruction loss after the SVD split concentrates energy.
 import numpy as np
 
 from skillzip import (
-    OutlierSpec,
     QuantConfig,
     RankPolicy,
     apply_smooth,
@@ -20,16 +19,17 @@ from skillzip import (
     quantize,
     select_rotation,
     split_factors,
-    synth_activations,
     truncated_svd,
 )
+from skillzip.fixtures import outlier_activations
 from skillzip.prng import Prng
 from skillzip.tensors import fro_norm, matmul
 
 rng = Prng(7)
 
 # Activations with 4 channels 100x louder than the rest.
-x = synth_activations(seed=7, tokens=64, channels=96, spec=OutlierSpec(n_channels=4, magnitude_ratio=100.0))
+outliers = rng.spawn("outliers").choice_indices(96, 4)
+x = outlier_activations(rng.spawn("x"), tokens=64, channels=96, base_range=15.0, columns=outliers, ratio=100.0)
 w = rng.gauss_matrix(96, 96) * np.float32(0.2)
 
 print("=== the outlier problem ===")

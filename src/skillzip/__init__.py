@@ -2,7 +2,7 @@
 shared backbone, executed through a two-stage integer pipeline."""
 
 from .archive import read_archive, write_archive
-from .calibration import CalibProfile, OutlierSpec, profile, synth_activations
+from .calibration import CalibProfile, profile
 from .deltas import MergePlan, TaskDelta, extract_delta, merge_shared, recenter
 from .errors import FormatError, RoutingError, ShapeError, SkillzipError, ValidationError
 from .kernel import CompiledSkillLayer, ForwardDiag, compile_layer, forward_full, forward_quantized, gemm_i8_i32, requant_mid
@@ -38,7 +38,6 @@ __all__ = [
     "FormatError",
     "Manifest",
     "MergePlan",
-    "OutlierSpec",
     "PipelineConfig",
     "Prng",
     "QuantConfig",
@@ -85,7 +84,6 @@ __all__ = [
     "sample_rotation",
     "select_rotation",
     "split_factors",
-    "synth_activations",
     "truncated_svd",
     "unpack_int4",
     "write_archive",

@@ -23,7 +23,6 @@ import zlib
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .tensors import as_matrix
 
 MAGIC = b"FTZ1"
 MAX_NAME_BYTES = 256
@@ -111,11 +110,3 @@ def read_archive(path: str | os.PathLike) -> list[tuple[str, np.ndarray]]:
     if r.pos != len(r.data):
         raise FormatError(f"{spath}: {len(r.data) - r.pos} trailing bytes after last entry")
     return entries
-
-
-def archive_as_dict(entries: list[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    return dict(entries)
-
-
-def dict_as_entries(layers: dict[str, np.ndarray]) -> list[tuple[str, np.ndarray]]:
-    return [(name, as_matrix(m, name)) for name, m in layers.items()]

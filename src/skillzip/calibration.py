@@ -1,24 +1,18 @@
-"""Per-channel activation statistics and synthetic outlier fixtures.
+"""Per-channel activation statistics.
 
 Profiles record, for every layer and input channel, the mean and max of
 |activation| over all calibration tokens. The streaming accumulators are
 float64 so splitting the same tokens into different batches gives the same
-profile. Fixture synthesis produces activation matrices with a controllable
-number of outlier channels whose magnitude dwarfs the rest, which is the
-structure channel-wise smoothing exists to fix.
+profile.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import archive
 from .errors import ShapeError, ValidationError
-from .prng import Prng
 
 
 @dataclass
@@ -68,71 +62,3 @@ def profile(activations: dict[str, list[np.ndarray]]) -> CalibProfile:
             acc.add(x)
         out.layers[layer] = acc.finish()
     return out
-
-
-@dataclass(frozen=True)
-class OutlierSpec:
-    """Shape of injected channel outliers.
-
-    `magnitude_ratio` multiplies the chosen columns; 100 mirrors the regime
-    where a handful of channels dominate everything else. `base_range` is
-    the half-width of the uniform bulk.
-    """
-
-    n_channels: int = 1
-    magnitude_ratio: float = 100.0
-    base_range: float = 15.0
-
-    def __post_init__(self):
-        if self.n_channels < 0:
-            raise ValidationError("n_channels must be >= 0")
-        if not (self.magnitude_ratio >= 1.0):
-            raise ValidationError("magnitude_ratio must be >= 1")
-        if not (self.base_range > 0):
-            raise ValidationError("base_range must be positive")
-
-
-def synth_activations(seed: int, tokens: int, channels: int, spec: OutlierSpec) -> np.ndarray:
-    """Uniform activations in [-base_range, base_range] with `n_channels`
-    randomly chosen columns scaled by `magnitude_ratio`. Deterministic
-    under the seed."""
-    if spec.n_channels >= channels:
-        raise ValidationError("outlier channel count must be below the channel count")
-    rng = Prng(seed)
-    x = rng.uniform_matrix(tokens, channels, -spec.base_range, spec.base_range)
-    if spec.n_channels and spec.magnitude_ratio > 1.0:
-        cols = rng.choice_indices(channels, spec.n_channels)
-        x[:, cols] *= np.float32(spec.magnitude_ratio)
-    return x
-
-
-# ---------------------------------------------------------------------------
-# Profile serialization: one FTZ archive plus a JSON sidecar for counts.
-
-
-def save_profile(prof: CalibProfile, path: str | os.PathLike) -> None:
-    entries = []
-    counts = {}
-    for layer, st in sorted(prof.layers.items()):
-        entries.append((f"{layer}/mean_abs", st.mean_abs.astype(np.float32).reshape(1, -1)))
-        entries.append((f"{layer}/max_abs", st.max_abs.astype(np.float32).reshape(1, -1)))
-        counts[layer] = st.token_count
-    archive.write_archive(path, entries)
-    with open(f"{os.fspath(path)}.json", "w", encoding="utf-8") as f:
-        json.dump({"token_count": counts}, f, indent=2, sort_keys=True)
-
-
-def load_profile(path: str | os.PathLike) -> CalibProfile:
-    entries = dict(archive.read_archive(path))
-    with open(f"{os.fspath(path)}.json", "r", encoding="utf-8") as f:
-        counts = json.load(f)["token_count"]
-    prof = CalibProfile()
-    for layer, count in counts.items():
-        mean_abs = entries[f"{layer}/mean_abs"].reshape(-1).astype(np.float64)
-        max_abs = entries[f"{layer}/max_abs"].reshape(-1).astype(np.float64)
-        if (mean_abs > max_abs + 1e-12).any():
-            raise ValidationError(f"layer {layer!r}: mean_abs exceeds max_abs")
-        if count < 1:
-            raise ValidationError(f"layer {layer!r}: token_count must be >= 1")
-        prof.layers[layer] = LayerStats(mean_abs, max_abs, int(count))
-    return prof

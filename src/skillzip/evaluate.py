@@ -11,7 +11,8 @@ directly comparable; new method names can be registered.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -61,17 +62,7 @@ class FidelityReport:
             "aggregate_rel_error": self.aggregate_rel_error,
             "compression_ratio": self.compression_ratio,
             "timings": self.timings,
-            "per_layer": {
-                n: {
-                    "rel_error": lf.rel_error,
-                    "signal_norm": lf.signal_norm,
-                    "flops_dense": lf.flops_dense,
-                    "flops_lowrank": lf.flops_lowrank,
-                    "mid_saturated": lf.mid_saturated,
-                    "forward_seconds": lf.forward_seconds,
-                }
-                for n, lf in sorted(self.per_layer.items())
-            },
+            "per_layer": {n: asdict(lf) for n, lf in sorted(self.per_layer.items())},
         }
 
     def to_text_table(self) -> str:
@@ -162,73 +153,54 @@ def total_delta_error(
 # Baseline compressors under the same report schema
 
 
-def _eval_fp_approx(deltas, approx_fn, eval_x, ranks, method, ratio):
-    report = FidelityReport(method=method, compression_ratio=ratio)
-    for name, delta in deltas.items():
+def _svd_fp_layer(delta: np.ndarray, config: PipelineConfig) -> tuple[np.ndarray, int, int]:
+    """Truncated SVD kept in float32, no quantization."""
+    a, b = split_factors(truncated_svd(delta, config.rank_policy(min(delta.shape))))
+    return matmul(a, b), a.shape[1], 4 * (a.size + b.size)
+
+
+def _bitdelta_layer(delta: np.ndarray, config: PipelineConfig) -> tuple[np.ndarray, int, int]:
+    """1-bit sign grid with one mean-absolute scale per layer."""
+    signs, scale = bitdelta_compress(delta)
+    return bitdelta_dequantize(signs, scale), min(delta.shape), (delta.size + 7) // 8 + 4
+
+
+def _float_baseline(method, layer_fn, base, tuned_one, calib, eval_x, config) -> FidelityReport:
+    """Score a float approximation of each layer's delta.
+
+    `layer_fn(delta, config)` returns (approximate delta, rank, stored bytes);
+    the approximation is applied in float, so no layer saturates."""
+    report = FidelityReport(method=method)
+    dense_bytes = 0
+    packed_bytes = 0
+    for name in base:
+        delta = (tuned_one[name] - base[name]).astype(np.float32)
+        approx_delta, rank, stored = layer_fn(delta, config)
+        dense_bytes += 4 * delta.size
+        packed_bytes += stored
         x = eval_x[name]
         ref = matmul(x, delta)
         start = time.perf_counter()
-        approx = matmul(x, approx_fn(name))
+        approx = matmul(x, approx_delta)
         seconds = time.perf_counter() - start
-        report.per_layer[name] = _layer_entry(ref, approx, delta.shape, x.shape[0], ranks[name], 0, seconds)
+        report.per_layer[name] = _layer_entry(ref, approx, delta.shape, x.shape[0], rank, 0, seconds)
+    report.compression_ratio = dense_bytes / packed_bytes if packed_bytes else 0.0
     return report.finalize()
 
 
-def baseline_svd_fp(
-    deltas: dict[str, np.ndarray], eval_x: dict[str, np.ndarray], config: PipelineConfig
-) -> FidelityReport:
-    """Truncated SVD kept in float32, no quantization."""
-    approx: dict[str, np.ndarray] = {}
-    ranks: dict[str, int] = {}
-    dense_bytes = 0
-    packed_bytes = 0
-    for name, delta in deltas.items():
-        svd = truncated_svd(delta, config.rank_policy(min(delta.shape)))
-        a, b = split_factors(svd)
-        approx[name] = matmul(a, b)
-        ranks[name] = a.shape[1]
-        dense_bytes += 4 * delta.size
-        packed_bytes += 4 * (a.size + b.size)
-    ratio = dense_bytes / packed_bytes if packed_bytes else 0.0
-    return _eval_fp_approx(deltas, lambda n: approx[n], eval_x, ranks, "svd-fp", ratio)
-
-
-def baseline_bitdelta(
-    deltas: dict[str, np.ndarray], eval_x: dict[str, np.ndarray], config: PipelineConfig
-) -> FidelityReport:
-    """1-bit sign grid with one mean-absolute scale per layer."""
-    approx: dict[str, np.ndarray] = {}
-    ranks: dict[str, int] = {}
-    dense_bytes = 0
-    packed_bytes = 0
-    for name, delta in deltas.items():
-        signs, scale = bitdelta_compress(delta)
-        approx[name] = bitdelta_dequantize(signs, scale)
-        ranks[name] = min(delta.shape)
-        dense_bytes += 4 * delta.size
-        packed_bytes += (delta.size + 7) // 8 + 4
-    ratio = dense_bytes / packed_bytes if packed_bytes else 0.0
-    return _eval_fp_approx(deltas, lambda n: approx[n], eval_x, ranks, "bitdelta", ratio)
-
-
-def baseline_skillzip(
-    base: dict[str, np.ndarray],
-    tuned_one: dict[str, np.ndarray],
-    calib: dict[str, np.ndarray],
-    eval_x: dict[str, np.ndarray],
-    config: PipelineConfig,
-) -> FidelityReport:
+def _skillzip_baseline(base, tuned_one, calib, eval_x, config) -> FidelityReport:
     """The full pipeline on a single task (merging is a no-op for K=1)."""
     result = compress(base, {"baseline": tuned_one}, calib, config)
     deltas = {n: (tuned_one[n] - base[n]).astype(np.float32) for n in base}
     return eval_pack(result.packs["baseline"], deltas, eval_x, method="skillzip")
 
 
+# Method name -> callable(base, tuned_one, calib, eval_x, config) -> report.
+# "asvd" is reserved: activation-weighted SVD is a known future method.
 BASELINES = {
-    "svd-fp": "plain truncated SVD, float32 factors",
-    "bitdelta": "1-bit sign grid plus one scale per layer",
-    "skillzip": "full smoothed, rotated, quantized pipeline",
-    # "asvd" reserved: activation-weighted SVD is a known future method.
+    "svd-fp": partial(_float_baseline, "svd-fp", _svd_fp_layer),
+    "bitdelta": partial(_float_baseline, "bitdelta", _bitdelta_layer),
+    "skillzip": _skillzip_baseline,
 }
 
 
@@ -242,12 +214,7 @@ def run_baseline(
 ) -> FidelityReport:
     if method not in BASELINES:
         raise ValidationError(f"unknown method {method!r}; available: {', '.join(sorted(BASELINES))}")
-    deltas = {n: (tuned_one[n] - base[n]).astype(np.float32) for n in base}
-    if method == "svd-fp":
-        return baseline_svd_fp(deltas, eval_x, config)
-    if method == "bitdelta":
-        return baseline_bitdelta(deltas, eval_x, config)
-    return baseline_skillzip(base, tuned_one, calib, eval_x, config)
+    return BASELINES[method](base, tuned_one, calib, eval_x, config)
 
 
 # ---------------------------------------------------------------------------

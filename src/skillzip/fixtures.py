@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .prng import Prng
 
 TASK_NAMES = ("math", "code", "chat", "web", "dialog")
@@ -42,9 +43,11 @@ def _low_rank(rng: Prng, c_in: int, c_out: int, rank: int, scale: float, decay: 
     return total.astype(np.float32)
 
 
-def _outlier_activations(
+def outlier_activations(
     rng: Prng, tokens: int, channels: int, base_range: float, columns: list[int], ratio: float
 ) -> np.ndarray:
+    """Uniform activations in [-base_range, base_range] with `columns`
+    scaled by `ratio`. Deterministic under the generator's state."""
     x = rng.uniform_matrix(tokens, channels, -base_range, base_range)
     if columns and ratio > 1.0:
         x[:, columns] *= np.float32(ratio)
@@ -72,6 +75,8 @@ def make_suite(
     base_range: float = 15.0,
 ) -> SynthSuite:
     """Deterministic suite for a given seed."""
+    if not (0 <= outlier_channels < c_in):
+        raise ValidationError(f"outlier channel count must lie in [0, {c_in}), got {outlier_channels}")
     rng = Prng(seed)
     layer_names = [f"layer{i}" for i in range(n_layers)]
     tasks = task_names(n_tasks)
@@ -88,8 +93,8 @@ def make_suite(
         shared_parts[name] = _low_rank(lrng.spawn("shared"), c_in, c_out, shared_rank, scale=1.0, decay=0.85)
 
         cols = lrng.spawn("outliers").choice_indices(c_in, outlier_channels) if outlier_channels else []
-        calib[name] = _outlier_activations(lrng.spawn("calib"), calib_tokens, c_in, base_range, cols, outlier_ratio)
-        eval_x[name] = _outlier_activations(lrng.spawn("eval"), eval_tokens, c_in, base_range, cols, outlier_ratio)
+        calib[name] = outlier_activations(lrng.spawn("calib"), calib_tokens, c_in, base_range, cols, outlier_ratio)
+        eval_x[name] = outlier_activations(lrng.spawn("eval"), eval_tokens, c_in, base_range, cols, outlier_ratio)
 
         for task in tasks:
             part = _low_rank(lrng.spawn(f"task/{task}"), c_in, c_out, task_rank, scale=0.6, decay=0.7)

@@ -151,6 +151,16 @@ def _svd_tall(w: np.ndarray, tol: float, max_sweeps: int):
     return u, sigma, vt
 
 
+def _fix_signs(u: np.ndarray, vt: np.ndarray) -> None:
+    """Sign convention, in place: flip triplets so each u column's peak
+    entry is >= 0."""
+    for j in range(u.shape[1]):
+        peak = np.argmax(np.abs(u[:, j]))
+        if u[peak, j] < 0:
+            u[:, j] = -u[:, j]
+            vt[j, :] = -vt[j, :]
+
+
 def jacobi_svd_full(w: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS):
     """Full decomposition w == u @ diag(sigma) @ vt with min(m, n) triplets.
 
@@ -168,13 +178,7 @@ def jacobi_svd_full(w: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JA
     else:
         ut, sigma, vtt = _svd_tall(w.T.copy(), tol, max_sweeps)
         u, vt = vtt.T.copy(), ut.T.copy()
-
-    # Sign convention: flip triplets so each u column's peak entry is >= 0.
-    for j in range(sigma.size):
-        peak = np.argmax(np.abs(u[:, j]))
-        if u[peak, j] < 0:
-            u[:, j] = -u[:, j]
-            vt[j, :] = -vt[j, :]
+    _fix_signs(u, vt)
     return u, sigma, vt
 
 
@@ -209,7 +213,8 @@ def _sketched_svd(w: np.ndarray, r: int, tol: float, max_sweeps: int):
     The Gaussian test matrix comes from a fixed shape-derived seed, so the
     result is a pure function of the input. Subspace iterations sharpen the
     range estimate enough for the downstream quantization stages, whose
-    error dwarfs the sketch suboptimality.
+    error dwarfs the sketch suboptimality. Returns the r + oversample
+    leading triplets; the caller keeps the first r.
     """
     m, n = w.shape
     k = min(min(m, n), r + _SKETCH_OVERSAMPLE)
@@ -224,12 +229,8 @@ def _sketched_svd(w: np.ndarray, r: int, tol: float, max_sweeps: int):
     ub_t, sigma, vtb_t = _svd_tall(b.T.copy(), tol, max_sweeps)
     u = q @ vtb_t.T  # (m, k)
     vt = ub_t.T  # (k, n)
-    for j in range(k):
-        peak = np.argmax(np.abs(u[:, j]))
-        if u[peak, j] < 0:
-            u[:, j] = -u[:, j]
-            vt[j, :] = -vt[j, :]
-    return u[:, :r], sigma[:r], vt[:r, :]
+    _fix_signs(u, vt)
+    return u, sigma, vt
 
 
 def truncated_svd(w: np.ndarray, policy: RankPolicy) -> SvdResult:
@@ -248,8 +249,8 @@ def truncated_svd(w: np.ndarray, policy: RankPolicy) -> SvdResult:
             if not np.isfinite(w).all():
                 raise ValidationError("decomposition input contains non-finite values")
             u, sigma, vt = _sketched_svd(w, r, JACOBI_TOL, JACOBI_MAX_SWEEPS)
-            return SvdResult(u.astype(np.float32), sigma.copy(), vt.astype(np.float32))
-        u, sigma, vt = jacobi_svd_full(w)
+        else:
+            u, sigma, vt = jacobi_svd_full(w)
     else:
         u, sigma, vt = jacobi_svd_full(w)
         total = float(np.sum(sigma**2))

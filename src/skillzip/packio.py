@@ -28,7 +28,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,13 +65,7 @@ class Manifest:
     provenance: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        body = {
-            "task_id": self.task_id,
-            "layers": self.layers,
-            "compression_ratio": self.compression_ratio,
-            "provenance": self.provenance,
-        }
-        return json.dumps(body, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "Manifest":

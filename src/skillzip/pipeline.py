@@ -16,7 +16,7 @@ processing order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .lowrank import RankPolicy, split_factors, truncated_svd
 from .packio import Skillpack, manifest_for
 from .prng import Prng
 from .quant import QuantConfig
-from .smoothing import DEFAULT_ALPHA, DEFAULT_EPSILON, compute_smooth, fold_rotation, select_rotation
+from .smoothing import DEFAULT_ALPHA, DEFAULT_EPSILON, apply_smooth, compute_smooth, fold_rotation, select_rotation
 
 
 @dataclass(frozen=True)
@@ -63,68 +63,60 @@ class PipelineConfig:
         raise ValidationError(f"unknown rank mode {self.rank_mode!r}")
 
     def to_canonical_json(self) -> str:
-        body = {
-            "merge": {"method": self.merge_plan.method, "tau": self.merge_plan.tau, "coefficient": self.merge_plan.coefficient},
-            "alpha": self.alpha,
-            "epsilon": self.epsilon,
-            "rank": {"mode": self.rank_mode, "value": self.rank_value},
-            "quant": {
-                "bits_x": self.quant.bits_x,
-                "bits_a": self.quant.bits_a,
-                "bits_b": self.quant.bits_b,
-                "gran_x": self.quant.gran_x,
-                "gran_b": self.quant.gran_b,
-            },
-            "n_candidates": self.n_candidates,
-            "seed": self.seed,
-            "toggles": {
-                "merge": self.toggles.merge,
-                "smooth": self.toggles.smooth,
-                "rotate": self.toggles.rotate,
-                "gptq": self.toggles.gptq,
-            },
-        }
-        return json.dumps(body, indent=2, sort_keys=True)
+        return json.dumps(_canonical_body(self), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "PipelineConfig":
+        """Parse canonical JSON; missing keys take their defaults.
+
+        Unknown keys, non-objects and leaves of the wrong JSON type raise
+        ValidationError. An int is accepted where a float is expected and
+        kept as given, so re-serialization reproduces the input values.
+        """
         try:
             body = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
-        merge = body.get("merge", {})
-        rank = body.get("rank", {})
-        quant = body.get("quant", {})
-        toggles = body.get("toggles", {})
-        try:
-            return PipelineConfig(
-                merge_plan=MergePlan(
-                    method=merge.get("method", "mean"),
-                    tau=merge.get("tau", 0.0),
-                    coefficient=merge.get("coefficient", 1.0),
-                ),
-                alpha=body.get("alpha", DEFAULT_ALPHA),
-                epsilon=body.get("epsilon", DEFAULT_EPSILON),
-                rank_mode=rank.get("mode", "auto"),
-                rank_value=rank.get("value", 0.0),
-                quant=QuantConfig(
-                    bits_x=quant.get("bits_x", 8),
-                    bits_a=quant.get("bits_a", 8),
-                    bits_b=quant.get("bits_b", 8),
-                    gran_x=quant.get("gran_x", "per-token"),
-                    gran_b=quant.get("gran_b", "per-channel"),
-                ),
-                n_candidates=body.get("n_candidates", 10),
-                seed=body.get("seed", 0),
-                toggles=Toggles(
-                    merge=toggles.get("merge", True),
-                    smooth=toggles.get("smooth", True),
-                    rotate=toggles.get("rotate", True),
-                    gptq=toggles.get("gptq", True),
-                ),
-            )
-        except TypeError as exc:
-            raise ValidationError(f"malformed config: {exc}") from exc
+        fields = _conform(body, _canonical_body(PipelineConfig()), "config")
+        rank = fields.pop("rank")
+        return PipelineConfig(
+            merge_plan=MergePlan(**fields.pop("merge")),
+            rank_mode=rank["mode"],
+            rank_value=rank["value"],
+            quant=QuantConfig(**fields.pop("quant")),
+            toggles=Toggles(**fields.pop("toggles")),
+            **fields,
+        )
+
+
+def _canonical_body(config: PipelineConfig) -> dict:
+    """The dataclass fields as nested dicts, under their JSON names."""
+    body = asdict(config)
+    body["merge"] = body.pop("merge_plan")
+    body["rank"] = {"mode": body.pop("rank_mode"), "value": body.pop("rank_value")}
+    return body
+
+
+_JSON_KINDS = {bool: "boolean", int: "integer", float: "number", str: "string"}
+
+
+def _conform(value, template, where: str):
+    """Check `value` against the structure and leaf types of `template`,
+    filling absent keys from it."""
+    if isinstance(template, dict):
+        if not isinstance(value, dict):
+            raise ValidationError(f"{where} must be a JSON object")
+        for key in value:
+            if key not in template:
+                raise ValidationError(f"unknown key {where}.{key}")
+        return {
+            key: _conform(value[key], default, f"{where}.{key}") if key in value else default
+            for key, default in template.items()
+        }
+    allowed = (int, float) if type(template) is float else type(template)
+    if isinstance(value, bool) != isinstance(template, bool) or not isinstance(value, allowed):
+        raise ValidationError(f"{where} must be a JSON {_JSON_KINDS[type(template)]}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -149,8 +141,7 @@ def compress_layer_delta(
         s = compute_smooth(mean_abs, delta, config.alpha, config.epsilon)
     else:
         s = np.ones(c_in, dtype=np.float32)
-    w_s = (delta * s[:, None]).astype(np.float32)
-    x_s = (x_calib / s[None, :]).astype(np.float32)
+    x_s, w_s = apply_smooth(x_calib, delta, s)
 
     policy = config.rank_policy(min(c_in, c_out))
     svd = truncated_svd(w_s, policy)
@@ -232,7 +223,3 @@ def compress(
 
 def provenance_of(config: PipelineConfig) -> dict:
     return json.loads(config.to_canonical_json())
-
-
-def config_with_toggles(config: PipelineConfig, toggles: Toggles) -> PipelineConfig:
-    return replace(config, toggles=toggles)

@@ -120,10 +120,6 @@ class QuantConfig:
         if self.gran_b not in (PER_CHANNEL, PER_TENSOR):
             raise ValidationError(f"gran_b must be per-channel or per-tensor, got {self.gran_b!r}")
 
-    @property
-    def gran_a(self) -> str:
-        return PER_TENSOR
-
     def tag(self) -> str:
         return f"X{self.bits_x}A{self.bits_a}B{self.bits_b}"
 
@@ -166,16 +162,6 @@ def dequantize(q: QuantGrid) -> np.ndarray:
     """Elementwise inverse: code times its group scale, in float32."""
     row_s, col_s = q.scale.row_col_vectors(q.rows, q.cols)
     return (q.codes.astype(np.float32) * row_s[:, None]) * col_s[None, :]
-
-
-def quantize_with_scales(m: np.ndarray, bits: int, desc: ScaleDescriptor) -> QuantGrid:
-    """Quantize against externally fixed scales (static-scale path)."""
-    row_s, col_s = desc.row_col_vectors(*m.shape)
-    denom = row_s.astype(np.float64)[:, None] * col_s.astype(np.float64)[None, :]
-    limit = (1 << (bits - 1)) - 1
-    codes = round_half_away(m.astype(np.float64) / denom)
-    codes = np.clip(codes, -limit, limit).astype(np.int8)
-    return QuantGrid(codes, bits, desc)
 
 
 # ---------------------------------------------------------------------------

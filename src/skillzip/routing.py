@@ -8,7 +8,8 @@ request positions. Grouped execution quantizes activations request by
 request, so a batched run reproduces sequential per-request runs code for
 code on the integer path.
 
-An unknown label aborts the whole batch before any compute, keeping the
+An unknown label or malformed request activations (not 2-D, wrong width,
+non-finite) abort the whole batch before any compute, keeping the
 batched == sequential equivalence unconditional.
 """
 
@@ -72,8 +73,15 @@ class SkillRegistry:
         self.packs[pack.task_id] = pack
 
     def route(self, request: ForwardRequest) -> str:
+        """Check one request's label and activations; runs no compute."""
         if request.task_id not in self.packs:
             raise RoutingError(request.task_id)
+        x = request.x
+        w = self.backbone[self.target_layer]
+        if x.ndim != 2 or x.shape[1] != w.shape[0]:
+            raise ShapeError(f"request activations {x.shape} do not match backbone {w.shape}")
+        if not np.isfinite(x).all():
+            raise ValidationError(f"request for {request.task_id!r} has non-finite activations")
         return request.task_id
 
     def serving_layer(self, task_id: str) -> CompiledSkillLayer:
@@ -83,8 +91,9 @@ class SkillRegistry:
 def dispatch_batch(batch: Batch, registry: SkillRegistry, diag: ForwardDiag | None = None) -> list[np.ndarray]:
     """Group by task, execute per group, scatter to original order.
 
-    Raises before any compute when any label is unknown, so a failed batch
-    produces no partial results.
+    Raises before any compute when any label is unknown or any request's
+    activations are malformed, so a failed batch produces no partial
+    results.
     """
     for req in batch.requests:
         registry.route(req)
@@ -98,9 +107,6 @@ def dispatch_batch(batch: Batch, registry: SkillRegistry, diag: ForwardDiag | No
     for task_id, indices in groups.items():
         layer = registry.serving_layer(task_id)
         xs = [batch.requests[i].x for i in indices]
-        for x in xs:
-            if x.ndim != 2 or x.shape[1] != w.shape[0]:
-                raise ShapeError(f"request activations {x.shape} do not match backbone {w.shape}")
         stacked = np.vstack(xs).astype(np.float32)
         blocks = [x.shape[0] for x in xs]
         group_out = forward_full(w, layer, stacked, diag=diag, row_blocks=blocks)

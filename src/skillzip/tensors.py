@@ -1,8 +1,8 @@
 """Dense matrix primitives shared by every stage.
 
 A dense matrix is a 2-D float32 ndarray, row-major, finite. Helpers here
-validate that contract and provide the floating-point oracle operations
-(matmul, Frobenius norm) that everything downstream is measured against.
+provide the floating-point oracle operations (matmul, Frobenius norm) that
+everything downstream is measured against.
 Both accumulate in float64 so results do not depend on reduction order,
 then round once to float32.
 """
@@ -11,23 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
-
-
-def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Coerce to a validated 2-D float32 array (copies only if needed)."""
-    m = np.asarray(values, dtype=np.float32)
-    if m.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ShapeError(f"{name} must have at least one row and column, got {m.shape}")
-    return np.ascontiguousarray(m)
-
-
-def check_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if not np.isfinite(m).all():
-        raise ValidationError(f"{name} contains non-finite values")
-    return m
+from .errors import ShapeError
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -43,7 +27,3 @@ def fro_norm(m: np.ndarray) -> float:
     """Frobenius norm with float64 accumulation."""
     return float(np.sqrt(np.sum(np.square(m, dtype=np.float64), dtype=np.float64)))
 
-
-def rel_fro_error(reference: np.ndarray, approx: np.ndarray, eps: float = 1e-12) -> float:
-    """Frobenius error of `approx` relative to `reference`, eps-guarded."""
-    return fro_norm(reference - approx) / max(fro_norm(reference), eps)

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from skillzip import OutlierSpec, ValidationError, profile, synth_activations
-from skillzip.calibration import load_profile, save_profile
+from skillzip import ValidationError, profile
+from skillzip.fixtures import make_suite, outlier_activations
 from skillzip.prng import Prng
+
+
+def _synth(seed, tokens, channels, n_outliers, ratio):
+    """Outlier activations with `n_outliers` random columns scaled by `ratio`."""
+    rng = Prng(seed)
+    cols = rng.spawn("outliers").choice_indices(channels, n_outliers)
+    return outlier_activations(rng, tokens, channels, 15.0, cols, ratio)
 
 
 def test_profile_uniform_signs():
@@ -55,14 +62,13 @@ def test_profile_permutation_equivariant():
 
 
 def test_synth_degenerate_ratio_indistinguishable():
-    x = synth_activations(1, tokens=200, channels=32, spec=OutlierSpec(n_channels=4, magnitude_ratio=1.0))
+    x = _synth(1, tokens=200, channels=32, n_outliers=4, ratio=1.0)
     st = profile({"l": [x]}).stats("l")
     assert st.max_abs.max() / np.median(st.max_abs) <= 1.5
 
 
 def test_synth_outlier_column_stands_out():
-    spec = OutlierSpec(n_channels=1, magnitude_ratio=100.0)
-    x = synth_activations(2, tokens=128, channels=64, spec=spec)
+    x = _synth(2, tokens=128, channels=64, n_outliers=1, ratio=100.0)
     st = profile({"l": [x]}).stats("l")
     order = np.argsort(st.max_abs)
     others_median = np.median(st.max_abs[order[:-1]])
@@ -71,16 +77,14 @@ def test_synth_outlier_column_stands_out():
 
 
 def test_synth_deterministic():
-    spec = OutlierSpec(n_channels=2, magnitude_ratio=50.0)
-    a = synth_activations(7, 16, 24, spec)
-    b = synth_activations(7, 16, 24, spec)
+    a = _synth(7, 16, 24, 2, 50.0)
+    b = _synth(7, 16, 24, 2, 50.0)
     assert a.tobytes() == b.tobytes()
 
 
 def test_synth_ratio_scaling_property():
     for ratio in (10.0, 50.0, 100.0):
-        spec = OutlierSpec(n_channels=3, magnitude_ratio=ratio)
-        x = synth_activations(11, 64, 48, spec)
+        x = _synth(11, 64, 48, 3, ratio)
         st = profile({"l": [x]}).stats("l")
         order = np.argsort(st.max_abs)
         outliers = st.max_abs[order[-3:]]
@@ -89,18 +93,6 @@ def test_synth_ratio_scaling_property():
 
 
 def test_synth_too_many_outliers():
-    with pytest.raises(ValidationError):
-        synth_activations(1, 4, 4, OutlierSpec(n_channels=4))
-
-
-def test_profile_round_trip(tmp_path):
-    rng = Prng(23)
-    prof = profile({"a": [rng.uniform_matrix(10, 6, -2, 2)], "b": [rng.uniform_matrix(5, 3, -8, 8)]})
-    path = tmp_path / "calib.ftz"
-    save_profile(prof, path)
-    back = load_profile(path)
-    for name in ("a", "b"):
-        orig, loaded = prof.stats(name), back.stats(name)
-        assert np.allclose(orig.mean_abs, loaded.mean_abs, atol=1e-6)
-        assert np.allclose(orig.max_abs, loaded.max_abs, atol=1e-6)
-        assert orig.token_count == loaded.token_count
+    for n_outliers in (-1, 4, 5):
+        with pytest.raises(ValidationError, match="outlier channel count"):
+            make_suite(1, c_in=4, c_out=4, outlier_channels=n_outliers)

@@ -246,3 +246,28 @@ def test_routing_error_exit_code(fixture_dir, tmp_path):
         ]
     )
     assert rc == 2
+
+
+def test_gen_synth_too_many_outliers_exit_code(tmp_path, capsys):
+    rc = main(["gen-synth", "--out", str(tmp_path / "f"), "--channels", "8", "--outliers", "9"])
+    assert rc == 2
+    assert "outlier channel count" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
+
+def test_bad_config_exit_code(fixture_dir, tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text('{"toggles": {"merge": "no"}}')
+    rc = main(
+        [
+            "compress",
+            "--config", str(config),
+            "--base", str(fixture_dir / "base.ftz"),
+            "--tuned", str(fixture_dir / "math.ftz"),
+            "--calib", str(fixture_dir / "calib.ftz"),
+            "--out", str(tmp_path / "packs"),
+        ]
+    )
+    assert rc == 2
+    assert "config.toggles.merge" in capsys.readouterr().err
+    assert not (tmp_path / "packs").exists()

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from skillzip import TaskDelta, ValidationError
-from skillzip.evaluate import (
-    baseline_bitdelta,
-    baseline_svd_fp,
-    delta_similarity,
-    run_baseline,
-)
+from skillzip.evaluate import BASELINES, delta_similarity, run_baseline
 from skillzip.fixtures import make_suite
 from skillzip.pipeline import PipelineConfig
 from skillzip.prng import Prng
@@ -20,16 +15,11 @@ def _suite():
     )
 
 
-def _deltas(suite, task):
-    return {n: (suite.tuned[task][n] - suite.base[n]).astype(np.float32) for n in suite.base}
-
-
 def test_svd_fp_full_rank_near_lossless():
     suite = _suite()
     task = next(iter(suite.tuned))
-    deltas = _deltas(suite, task)
     config = PipelineConfig(rank_mode="fixed", rank_value=36)
-    report = baseline_svd_fp(deltas, suite.eval_x, config)
+    report = run_baseline("svd-fp", suite.base, suite.tuned[task], suite.calib, suite.eval_x, config)
     assert report.aggregate_rel_error <= 1e-5
     assert report.compression_ratio < 1.0  # full rank stores more than dense
 
@@ -37,9 +27,10 @@ def test_svd_fp_full_rank_near_lossless():
 def test_bitdelta_exact_on_sign_pattern():
     rng = Prng(42)
     signs = np.where(rng.uniform_matrix(10, 10, -1, 1) < 0, -1.0, 1.0).astype(np.float32)
-    deltas = {"l": (0.5 * signs).astype(np.float32)}
+    base = {"l": np.zeros((10, 10), dtype=np.float32)}
+    tuned = {"l": (0.5 * signs).astype(np.float32)}
     eval_x = {"l": rng.uniform_matrix(6, 10, -2, 2)}
-    report = baseline_bitdelta(deltas, eval_x, PipelineConfig())
+    report = run_baseline("bitdelta", base, tuned, {}, eval_x, PipelineConfig())
     assert report.aggregate_rel_error <= 1e-6
     # ~32x asymptotically; the per-layer scale costs a little on a 10x10.
     assert report.compression_ratio > 20.0
@@ -57,7 +48,7 @@ def test_report_schema_stable_across_methods():
     task = next(iter(suite.tuned))
     config = PipelineConfig(rank_mode="fixed", rank_value=5, n_candidates=2)
     keys = None
-    for method in ("svd-fp", "bitdelta", "skillzip"):
+    for method in sorted(BASELINES):
         report = run_baseline(method, suite.base, suite.tuned[task], suite.calib, suite.eval_x, config)
         body = report.to_dict()
         assert body["method"] == method

@@ -162,3 +162,30 @@ def test_config_round_trip_canonical():
 def test_config_rejects_bad_json():
     with pytest.raises(ValidationError):
         PipelineConfig.from_json("{not json")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        '{"seed": "x"}',
+        '{"seed": true}',
+        '{"alpha": null}',
+        '{"quant": 5}',
+        '{"toggles": {"merge": "no"}}',
+        '{"n_candidates": 2.5}',
+        '{"rank": {"mode": "fixed", "value": "7"}}',
+        '{"sed": 1}',
+    ],
+)
+def test_config_rejects_malformed_fields(text):
+    with pytest.raises(ValidationError):
+        PipelineConfig.from_json(text)
+
+
+def test_config_partial_body_takes_defaults_and_keeps_ints():
+    config = PipelineConfig.from_json('{"rank": {"value": 12}, "merge": {"tau": 0}}')
+    assert config == replace(PipelineConfig(), rank_value=12, merge_plan=MergePlan(tau=0))
+    text = config.to_canonical_json()
+    assert '"tau": 0\n' in text and '"value": 12\n' in text
+    assert PipelineConfig.from_json(text).to_canonical_json() == text

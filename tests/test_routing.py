@@ -201,3 +201,29 @@ def test_stream_outputs_archive(tmp_path):
     entries = dict(read_archive(out_path))
     assert set(entries) == {"0", "1"}
     assert np.array_equal(entries["0"], outs[0])
+
+
+@pytest.mark.parametrize(
+    "bad_x, error",
+    [
+        (np.zeros((2, C_IN + 1), dtype=np.float32), ShapeError),
+        (np.zeros(C_IN, dtype=np.float32), ShapeError),
+        (np.full((2, C_IN), np.inf, dtype=np.float32), ValidationError),
+    ],
+    ids=["wrong-width", "one-dimensional", "non-finite"],
+)
+def test_bad_request_rejected_before_any_compute(monkeypatch, bad_x, error):
+    """The bad request sits in the last label group, after groups that
+    would otherwise already have run their backbone matmul."""
+    import skillzip.routing
+
+    calls = []
+    monkeypatch.setattr(skillzip.routing, "forward_full", lambda *a, **k: calls.append(a))
+    reg = _registry()
+    rng = Prng(309)
+    batch = Batch([_request(rng, "math"), _request(rng, "code"), ForwardRequest("chat", bad_x)])
+    with pytest.raises(error):
+        dispatch_batch(batch, reg)
+    with pytest.raises(error):
+        dispatch_sequential(batch, reg)
+    assert calls == []
