@@ -95,7 +95,10 @@ def read_archive(path: str | os.PathLike) -> list[tuple[str, np.ndarray]]:
         (name_len,) = struct.unpack("<H", r.take(2))
         if name_len == 0 or name_len > MAX_NAME_BYTES:
             raise FormatError(f"{spath}: entry name length {name_len} out of range")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{spath}: entry name is not valid UTF-8") from exc
         if name in seen:
             raise FormatError(f"{spath}: duplicate entry name {name!r}")
         seen.add(name)

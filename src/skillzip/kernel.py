@@ -7,19 +7,23 @@ low-rank factors plus the scales needed to run
 
 entirely in integers between the outer scale applications:
 
-    1. incoming activations are divided by the smoothing vector and
-       quantized (per-token or per-tensor) to codes;
-    2. first integer matmul accumulates exactly in 32 bits;
+    1. activations are multiplied by the reciprocal smoothing vector and
+       each row is divided by its scale (per token, or per request for
+       per-tensor X, from per-row peaks) and rounded to codes;
+    2. first integer matmul accumulates exactly (the int32 guarantee);
     3. the accumulator is requantized to int8 through one per-tensor
        scalar (the only scale permitted between the two matmuls);
-    4. second integer matmul, again exact in 32 bits;
+    4. second integer matmul, again exact;
     5. all remaining scales multiply along the outer dimensions: a row
-       factor from the activation scales and a column factor from the
-       B-side scales, with scalars folded into either.
+       factor (activation scales times the scalars), then per-channel
+       B scales when B has them.
 
-Integer matmuls run through float64 BLAS: every partial product and sum is
-an integer far below 2^53, so the result is exact and independent of the
-reduction order, which makes the whole path bit-deterministic.
+Codes and accumulators stay float64 integers and the integer matmuls run
+through float64 BLAS: every partial product and sum is an integer far
+below 2^53, so the result is exact, equals the int32 product while
+K <= MAX_CONTRACTION, and does not depend on the reduction order, which
+makes the whole path bit-deterministic. `gemm_i8_i32` and `requant_mid`
+return the int32 and int8 grids.
 
 The shared backbone runs in float through the matmul oracle; a layer's
 forward adds the integer-path output on top (or nothing when no skillpack
@@ -36,7 +40,6 @@ from .errors import ShapeError, ValidationError
 from .quant import (
     PER_CHANNEL,
     PER_TENSOR,
-    PER_TOKEN,
     QuantConfig,
     QuantGrid,
     ScaleDescriptor,
@@ -103,61 +106,72 @@ class CompiledSkillLayer:
         return float(self.a_hat.scale.scales)
 
 
-def _gemm_codes(a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
-    """Exact int8 x int8 -> int32 product via float64 accumulation."""
-    if a_codes.shape[1] != b_codes.shape[0]:
-        raise ShapeError(f"gemm shape mismatch: {a_codes.shape} x {b_codes.shape}")
-    if a_codes.shape[1] > MAX_CONTRACTION:
-        raise ShapeError(f"contraction dimension {a_codes.shape[1]} exceeds the int32 guarantee")
-    acc = a_codes.astype(np.float64) @ b_codes.astype(np.float64)
-    return acc.astype(np.int32)
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact product of two float64 integer code grids (see module notes)."""
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"gemm shape mismatch: {a.shape} x {b.shape}")
+    if a.shape[1] > MAX_CONTRACTION:
+        raise ShapeError(f"contraction dimension {a.shape[1]} exceeds the int32 guarantee")
+    return a @ b
 
 
 def gemm_i8_i32(a: QuantGrid, b: QuantGrid) -> np.ndarray:
     """Integer matmul of two code grids, exact int32 accumulation."""
-    return _gemm_codes(a.codes, b.codes)
+    return _gemm(a.codes.astype(np.float64), b.codes.astype(np.float64)).astype(np.int32)
 
 
 def _requant(acc: np.ndarray, mid_scale: float) -> tuple[np.ndarray, int]:
-    rounded = round_half_away(acc.astype(np.float64) / float(mid_scale))
+    """Float64 int8-range codes (no -0.0) and the count clamped to +-127."""
+    rounded = round_half_away(acc / float(mid_scale))
     saturated = int(np.count_nonzero(np.abs(rounded) > 127))
-    codes = np.clip(rounded, -127, 127).astype(np.int8)
-    return codes, saturated
+    return np.clip(rounded, -127, 127) + 0.0, saturated
 
 
 def requant_mid(acc: np.ndarray, mid_scale: float) -> QuantGrid:
     """Truncate an int32 accumulator to int8 through one per-tensor scale."""
     if not (mid_scale > 0):
         raise ValidationError("mid requant scale must be positive")
-    codes, _ = _requant(acc, mid_scale)
-    return QuantGrid(codes, 8, ScaleDescriptor(PER_TENSOR, np.float32(mid_scale)))
+    codes, _ = _requant(np.asarray(acc, dtype=np.float64), mid_scale)
+    return QuantGrid(codes.astype(np.int8), 8, ScaleDescriptor(PER_TENSOR, np.float32(mid_scale)))
 
 
-def _quantize_activations(
-    x_s: np.ndarray, config: QuantConfig, row_blocks: list[int] | None
+def quantize_activations(
+    x_s: np.ndarray, bits: int, granularity: str, row_blocks: list[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize smoothed activations; returns (codes, per-row scale vector).
+    """Quantize float32 smoothed activations; returns (float64 codes,
+    float64 per-row scales).
 
-    With per-tensor granularity each row block (one request in a batched
-    call) is quantized as its own tensor, so batched execution reproduces
-    per-request execution code for code.
+    Per-token, each row is its own group; per-tensor, each row block (one
+    request in a batched call, the whole matrix by default) is. Codes and
+    scales equal `quant.quantize` on that group bit for bit: the same
+    float32 scale, then float64 division, half-away rounding and clamping.
     """
-    t = x_s.shape[0]
-    if config.gran_x == PER_TOKEN:
-        grid = quantize(x_s, config.bits_x, PER_TOKEN)
-        return grid.codes, grid.scale.scales.astype(np.float64)
-    blocks = row_blocks if row_blocks is not None else [t]
-    if sum(blocks) != t:
-        raise ShapeError("row blocks must sum to the token count")
-    codes = np.empty_like(x_s, dtype=np.int8)
-    row_scales = np.empty(t, dtype=np.float64)
-    start = 0
-    for size in blocks:
-        grid = quantize(x_s[start : start + size], config.bits_x, PER_TENSOR)
-        codes[start : start + size] = grid.codes
-        row_scales[start : start + size] = float(grid.scale.scales)
-        start += size
-    return codes, row_scales
+    peaks = np.max(np.abs(x_s), axis=1, initial=0.0)
+    if not np.isfinite(peaks).all():
+        raise ValidationError("quantize input contains non-finite values")
+    if granularity == PER_TENSOR:
+        sizes = row_blocks if row_blocks is not None else [x_s.shape[0]]
+        if sum(sizes) != x_s.shape[0]:
+            raise ShapeError("row blocks must sum to the token count")
+        sizes = np.array([n for n in sizes if n], dtype=np.intp)
+        if sizes.size:
+            starts = np.cumsum(sizes) - sizes
+            peaks = np.repeat(np.maximum.reduceat(peaks, starts), sizes)
+    limit = (1 << (bits - 1)) - 1
+    scales = peaks.astype(np.float64) / limit
+    scales = np.where(scales == 0.0, 1.0, scales).astype(np.float32)  # all-zero group rule
+    if not (scales > 0).all():
+        raise ValidationError("scales must be positive and finite")
+    scales = scales.astype(np.float64)
+    # round_half_away and the clamp, in place; += 0.0 turns -0.0 into 0.0.
+    q = x_s / scales[:, None]
+    codes = np.abs(q)
+    codes += 0.5
+    np.floor(codes, out=codes)
+    np.minimum(codes, limit, out=codes)
+    np.copysign(codes, q, out=codes)
+    codes += 0.0
+    return codes, scales
 
 
 def forward_quantized(
@@ -166,29 +180,32 @@ def forward_quantized(
     diag: ForwardDiag | None = None,
     row_blocks: list[int] | None = None,
 ) -> np.ndarray:
-    """Run the integer pipeline for one layer; output approximates x @ A @ B."""
+    """Run the integer pipeline for one layer; output approximates x @ A @ B.
+
+    With per-tensor X, `row_blocks` splits the rows into requests that are
+    quantized as separate tensors, so batched execution reproduces
+    per-request execution code for code."""
     if x.ndim != 2 or x.shape[1] != layer.c_in:
         raise ShapeError(f"activations must be T x {layer.c_in}, got {x.shape}")
-    x_s = (x.astype(np.float32) * layer.smooth_inv[None, :]).astype(np.float32)
-    x_codes, row_scales = _quantize_activations(x_s, layer.config, row_blocks)
+    x_s = np.asarray(x, dtype=np.float32) * layer.smooth_inv
+    x_codes, row_scales = quantize_activations(x_s, layer.config.bits_x, layer.config.gran_x, row_blocks)
 
-    acc1 = _gemm_codes(x_codes, layer.a_hat.codes)
+    acc1 = _gemm(x_codes, layer.a_hat.codes.astype(np.float64))
     mid_codes, mid_sat = _requant(acc1, layer.mid_scale)
-    acc2 = _gemm_codes(mid_codes, layer.b_hat.codes)
-
-    if layer.b_hat.scale.granularity == PER_CHANNEL:
-        col_scales = layer.b_hat.scale.scales.astype(np.float64)
-        scalar = layer.s_a * layer.mid_scale
-    else:
-        col_scales = np.ones(layer.c_out, dtype=np.float64)
-        scalar = layer.s_a * layer.mid_scale * float(layer.b_hat.scale.scales)
+    acc2 = _gemm(mid_codes, layer.b_hat.codes.astype(np.float64))
 
     if diag is not None:
         diag.mid_saturated += mid_sat
         diag.inter_gemm_scales.append(float(layer.mid_scale))
 
-    out = (scalar * row_scales)[:, None] * acc2.astype(np.float64) * col_scales[None, :]
-    return out.astype(np.float32)
+    b_scale = layer.b_hat.scale
+    scalar = layer.s_a * layer.mid_scale
+    if b_scale.granularity == PER_TENSOR:
+        scalar *= float(b_scale.scales)
+    acc2 *= (scalar * row_scales)[:, None]
+    if b_scale.granularity == PER_CHANNEL:
+        acc2 *= b_scale.scales.astype(np.float64)
+    return acc2.astype(np.float32)
 
 
 def forward_full(
@@ -241,14 +258,14 @@ def compile_layer(
 
     acc1 = None
     if x_calib is not None:
-        x_s = (x_calib.astype(np.float32) / smooth[None, :]).astype(np.float32)
-        x_codes, _ = _quantize_activations(x_s, config, None)
-        acc1 = _gemm_codes(x_codes, a_hat.codes)
+        x_s = x_calib.astype(np.float32) / smooth
+        x_codes, _ = quantize_activations(x_s, config.bits_x, config.gran_x)
+        acc1 = _gemm(x_codes, a_hat.codes.astype(np.float64))
 
     if use_gptq:
         if acc1 is None:
             raise ValidationError("GPTQ refinement requires calibration activations")
-        hessian = calibration_hessian(acc1.astype(np.float64))
+        hessian = calibration_hessian(acc1)
         b_hat = gptq_refine(b_hat, np.asarray(b_fp, dtype=np.float32), hessian)
 
     if mid_scale is None:

@@ -197,14 +197,30 @@ class _Cursor:
             raise FormatError(f"{self.context}: expected tag {expected_tag:#06x}, found {tag:#06x}")
         return self.take(length)
 
+    def fields(self, expected_tag: int, fmt: str) -> tuple:
+        """A fixed-size TLV payload unpacked with struct format `fmt`."""
+        payload = self.tlv(expected_tag)
+        if len(payload) != struct.calcsize(fmt):
+            raise FormatError(
+                f"{self.context}: tag {expected_tag:#06x} holds {len(payload)} bytes, expected {struct.calcsize(fmt)}"
+            )
+        return struct.unpack(fmt, payload)
+
+
+def _utf8(raw: bytes, context: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{context}: name is not valid UTF-8") from exc
+
 
 def _parse_layer(payload: bytes, context: str) -> tuple[str, CompiledSkillLayer]:
     cur = _Cursor(payload, context)
-    name = cur.tlv(_TAG_NAME).decode("utf-8")
-    c_in, c_out = struct.unpack("<II", cur.tlv(_TAG_DIMS))
-    (rank,) = struct.unpack("<I", cur.tlv(_TAG_RANK))
-    bits_x, bits_a, bits_b = struct.unpack("<BBB", cur.tlv(_TAG_BITS))
-    gran_x_code, gran_b_code = struct.unpack("<BB", cur.tlv(_TAG_GRANS))
+    name = _utf8(cur.tlv(_TAG_NAME), context)
+    c_in, c_out = cur.fields(_TAG_DIMS, "<II")
+    (rank,) = cur.fields(_TAG_RANK, "<I")
+    bits_x, bits_a, bits_b = cur.fields(_TAG_BITS, "<BBB")
+    gran_x_code, gran_b_code = cur.fields(_TAG_GRANS, "<BB")
     if gran_x_code not in _GRAN_NAMES or gran_b_code not in _GRAN_NAMES:
         raise FormatError(f"{context}: unknown granularity code")
 
@@ -213,11 +229,16 @@ def _parse_layer(payload: bytes, context: str) -> tuple[str, CompiledSkillLayer]
         raise FormatError(f"{context}: smoothing vector length mismatch")
     smooth_inv = np.frombuffer(smooth_raw, dtype="<f4").copy()
 
-    a_codes = _codes_from_payload(cur.tlv(_TAG_A_CODES), bits_a, c_in, rank)
-    (a_scale,) = struct.unpack("<f", cur.tlv(_TAG_A_SCALE))
-    b_codes = _codes_from_payload(cur.tlv(_TAG_B_CODES), bits_b, rank, c_out)
+    try:
+        a_codes = _codes_from_payload(cur.tlv(_TAG_A_CODES), bits_a, c_in, rank)
+        (a_scale,) = cur.fields(_TAG_A_SCALE, "<f")
+        b_codes = _codes_from_payload(cur.tlv(_TAG_B_CODES), bits_b, rank, c_out)
+    except ValidationError as exc:  # int4 payload of the wrong size or pad
+        raise FormatError(f"{context}: {exc}") from exc
 
     b_scale_raw = cur.tlv(_TAG_B_SCALES)
+    if not b_scale_raw or (len(b_scale_raw) - 1) % 4:
+        raise FormatError(f"{context}: B scale record must be one byte plus float32 values")
     gran_b_stored = b_scale_raw[0]
     if gran_b_stored not in _GRAN_NAMES:
         raise FormatError(f"{context}: unknown B scale granularity")
@@ -227,8 +248,8 @@ def _parse_layer(payload: bytes, context: str) -> tuple[str, CompiledSkillLayer]
     if b_values.size != expected:
         raise FormatError(f"{context}: expected {expected} B scales, found {b_values.size}")
 
-    (mid_scale,) = struct.unpack("<d", cur.tlv(_TAG_MID_SCALE))
-    (rotation_index,) = struct.unpack("<I", cur.tlv(_TAG_ROTATION))
+    (mid_scale,) = cur.fields(_TAG_MID_SCALE, "<d")
+    (rotation_index,) = cur.fields(_TAG_ROTATION, "<I")
     if cur.remaining:
         raise FormatError(f"{context}: {cur.remaining} unexpected trailing bytes in layer record")
 
@@ -268,7 +289,7 @@ def read_skillpack(path: str | os.PathLike) -> Skillpack:
     if version != VERSION:
         raise FormatError(f"{spath}: unsupported version {version}")
     (task_len,) = struct.unpack("<H", cur.take(2))
-    task_id = cur.take(task_len).decode("utf-8")
+    task_id = _utf8(cur.take(task_len), f"{spath} task id")
     (layer_count,) = struct.unpack("<I", cur.take(4))
     layers: dict[str, CompiledSkillLayer] = {}
     for i in range(layer_count):

@@ -1,12 +1,13 @@
 """Label-routed dispatch of requests to skillpacks.
 
 Routing is deterministic: every request carries an explicit task label and
-the label is the skillpack key. Batches are grouped by label (preserving
-order within a group), each group runs through the shared backbone plus its
-skillpack in one call, and the outputs are scattered back to the original
-request positions. Grouped execution quantizes activations request by
-request, so a batched run reproduces sequential per-request runs code for
-code on the integer path.
+the label is the skillpack key. A batch's requests are stacked once, grouped
+by label (preserving order within a group), and the whole stack runs through
+the shared backbone as one matmul per batch. Each group's rows then get
+their skillpack's integer path added in one call, and the outputs are
+scattered back to the original request positions. Grouped execution
+quantizes activations request by request, so a batched run reproduces
+sequential per-request runs code for code on the integer path.
 
 An unknown label or malformed request activations (not 2-D, wrong width,
 non-finite) abort the whole batch before any compute, keeping the
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import archive
+from . import archive, kernel
 from .errors import RoutingError, ShapeError, ValidationError
 from .kernel import CompiledSkillLayer, ForwardDiag, forward_full
 from .packio import Skillpack
@@ -89,7 +90,8 @@ class SkillRegistry:
 
 
 def dispatch_batch(batch: Batch, registry: SkillRegistry, diag: ForwardDiag | None = None) -> list[np.ndarray]:
-    """Group by task, execute per group, scatter to original order.
+    """Stack the batch by task, run one backbone matmul, add each group's
+    skill path, scatter to original order.
 
     Raises before any compute when any label is unknown or any request's
     activations are malformed, so a failed batch produces no partial
@@ -97,24 +99,27 @@ def dispatch_batch(batch: Batch, registry: SkillRegistry, diag: ForwardDiag | No
     """
     for req in batch.requests:
         registry.route(req)
+    if not batch.requests:
+        return []
 
     groups: dict[str, list[int]] = {}
     for idx, req in enumerate(batch.requests):
         groups.setdefault(req.task_id, []).append(idx)
+    order = [i for indices in groups.values() for i in indices]
+    x = np.vstack([batch.requests[i].x for i in order], dtype=np.float32)
+    out = forward_full(registry.backbone[registry.target_layer], None, x)
 
-    w = registry.backbone[registry.target_layer]
     outputs: list[np.ndarray | None] = [None] * len(batch.requests)
+    start = 0
     for task_id, indices in groups.items():
+        blocks = [batch.requests[i].x.shape[0] for i in indices]
+        end = start + sum(blocks)
         layer = registry.serving_layer(task_id)
-        xs = [batch.requests[i].x for i in indices]
-        stacked = np.vstack(xs).astype(np.float32)
-        blocks = [x.shape[0] for x in xs]
-        group_out = forward_full(w, layer, stacked, diag=diag, row_blocks=blocks)
-        start = 0
+        # Looked up on the module so tracers that patch kernel.forward_quantized see it.
+        out[start:end] += kernel.forward_quantized(layer, x[start:end], diag=diag, row_blocks=blocks)
         for i, size in zip(indices, blocks):
-            outputs[i] = group_out[start : start + size]
+            outputs[i] = out[start : start + size]
             start += size
-    assert all(out is not None for out in outputs)
     return outputs  # type: ignore[return-value]
 
 

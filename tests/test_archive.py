@@ -108,3 +108,37 @@ def test_round_trip_property(tmp_path_factory, rows, cols, values):
     write_archive(path, [("m", m)])
     (_, back), = read_archive(path)
     assert back.tobytes() == m.tobytes()
+
+
+def test_bad_utf8_name_rejected_on_read(tmp_path):
+    path = tmp_path / "name.ftz"
+    body = b"FTZ1" + struct.pack("<I", 1) + struct.pack("<H", 2) + b"\xff\xfe"
+    body += struct.pack("<II", 1, 1) + struct.pack("<f", 1.0)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    with pytest.raises(FormatError, match="UTF-8"):
+        read_archive(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    op=st.sampled_from(["flip", "truncate", "insert"]),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    data=st.binary(min_size=1, max_size=4),
+)
+def test_mutated_archive_raises_format_error_only(tmp_path_factory, op, where, data):
+    """Byte flips, truncation and insertion after the magic, CRC fixed up."""
+    path = tmp_path_factory.mktemp("ftz") / "m.ftz"
+    write_archive(path, [("abc", np.ones((2, 3), dtype=np.float32)), ("d", np.zeros((1, 1), dtype=np.float32))])
+    body = bytearray(path.read_bytes()[:-4])
+    at = 4 + int(where * (len(body) - 4))
+    if op == "flip":
+        body[at : at + len(data)] = bytes(b ^ (d or 1) for b, d in zip(body[at : at + len(data)], data))
+    elif op == "truncate":
+        del body[at:]
+    else:
+        body[at:at] = data
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF))
+    try:
+        read_archive(path)
+    except FormatError:
+        pass

@@ -1,11 +1,16 @@
 import json
 import os
+import struct
+import zlib
 
+import numpy as np
 import pytest
 
-from skillzip import read_archive, read_skillpack
+from skillzip import QuantConfig, Skillpack, compile_layer, read_archive, read_skillpack
 from skillzip.cli import main
+from skillzip.packio import serialize_skillpack
 from skillzip.pipeline import PipelineConfig
+from skillzip.prng import Prng
 
 
 @pytest.fixture()
@@ -271,3 +276,21 @@ def test_bad_config_exit_code(fixture_dir, tmp_path, capsys):
     assert rc == 2
     assert "config.toggles.merge" in capsys.readouterr().err
     assert not (tmp_path / "packs").exists()
+
+
+def test_bench_crafted_pack_exit_code(fixture_dir, tmp_path, capsys):
+    """A CRC-valid pack whose task id is not UTF-8: exit 3, no traceback."""
+    rng = Prng(40)
+    layer = compile_layer(
+        "layer0", np.ones(48, dtype=np.float32), rng.uniform_matrix(48, 2, -1, 1), rng.uniform_matrix(2, 48, -1, 1),
+        QuantConfig(), mid_scale=1.0,
+    )
+    body = serialize_skillpack(Skillpack("math", {"layer0": layer}))[:-4].replace(b"math", b"\xffath", 1)
+    bad = tmp_path / "bad.skz"
+    bad.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    stream = tmp_path / "s.jsonl"
+    stream.write_text(json.dumps({"task": "math", "x": [[0.0] * 48]}) + "\n")
+    rc = main(["bench", "--backbone", str(fixture_dir / "base.ftz"), "--pack", str(bad), "--stream", str(stream)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and "Traceback" not in err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillzip import (
     CompiledSkillLayer,
@@ -8,6 +10,7 @@ from skillzip import (
     QuantGrid,
     ScaleDescriptor,
     ShapeError,
+    ValidationError,
     compile_layer,
     dequantize,
     forward_full,
@@ -16,7 +19,10 @@ from skillzip import (
     quantize,
     requant_mid,
 )
-from skillzip.kernel import calibrate_mid_scale
+from skillzip import kernel
+from skillzip.fixtures import outlier_activations
+from skillzip.kernel import MAX_CONTRACTION, calibrate_mid_scale, quantize_activations
+from skillzip.quant import PER_TENSOR, PER_TOKEN, round_half_away
 from skillzip.prng import Prng
 from skillzip.tensors import fro_norm, matmul
 from exact_case import build_exact_case
@@ -220,11 +226,202 @@ def test_int4_activation_configs():
 def test_compile_requires_calibration_or_mid():
     a = np.ones((4, 2), dtype=np.float32)
     b = np.ones((2, 4), dtype=np.float32)
-    from skillzip import ValidationError
-
     with pytest.raises(ValidationError):
         compile_layer("l", np.ones(4, dtype=np.float32), a, b, QuantConfig())
 
 
 def test_calibrate_mid_scale_zero_acc():
     assert calibrate_mid_scale(np.zeros((3, 3), dtype=np.int32)) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The activation quantizer of the forward path against quant.quantize
+
+
+def _assert_matches_quantize(x, bits, gran, blocks=None):
+    """Codes and per-row scales of quantize_activations equal quantize on
+    each group (a row, or a row block for per-tensor) bit for bit."""
+    codes, scales = quantize_activations(x, bits, gran, blocks)
+    assert codes.dtype == np.float64 and scales.dtype == np.float64
+    assert not np.signbit(codes[codes == 0]).any()
+    if gran == PER_TOKEN:
+        groups = [(0, x.shape[0])]
+    else:
+        sizes = blocks if blocks is not None else [x.shape[0]]
+        starts = np.cumsum([0] + sizes)
+        groups = list(zip(starts[:-1], starts[1:]))
+    for lo, hi in groups:
+        ref = quantize(x[lo:hi], bits, gran)
+        assert codes[lo:hi].astype(np.int8).tobytes() == ref.codes.tobytes()
+        assert np.array_equal(codes[lo:hi], ref.codes)
+        row_scales = np.broadcast_to(ref.scale.scales, (hi - lo,))
+        assert scales[lo:hi].astype(np.float32).tobytes() == row_scales.tobytes()
+        assert np.array_equal(scales[lo:hi], row_scales.astype(np.float64))
+
+
+# Subnormal peaks give a zero float32 scale, which both quantizers reject
+# (tested below); map them to 0.
+_finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False).map(lambda v: v if abs(v) >= 2.0**-126 else 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 9),
+    bits=st.sampled_from([4, 8]),
+    values=st.lists(_finite32, min_size=54, max_size=54),
+)
+def test_quantize_activations_per_token_property(rows, cols, bits, values):
+    x = np.array(values[: rows * cols], dtype=np.float32).reshape(rows, cols)
+    _assert_matches_quantize(x, bits, PER_TOKEN)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    blocks=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    cols=st.integers(1, 7),
+    bits=st.sampled_from([4, 8]),
+    magnitudes=st.lists(st.sampled_from([1e-3, 1.0, 1e4]), min_size=4, max_size=4),
+    values=st.lists(
+        st.floats(-1000.0, 1000.0, width=32).map(lambda v: v if abs(v) >= 1e-30 else 0.0), min_size=84, max_size=84
+    ),
+)
+def test_quantize_activations_per_tensor_blocks_property(blocks, cols, bits, magnitudes, values):
+    """Row blocks of 1-3 rows (one request each) with very different
+    magnitudes, so one shared scale would change the codes."""
+    rows = sum(blocks)
+    x = np.array(values[: rows * cols], dtype=np.float32).reshape(rows, cols)
+    start = 0
+    for size, mag in zip(blocks, magnitudes):
+        x[start : start + size] *= np.float32(mag)
+        start += size
+    _assert_matches_quantize(x, bits, PER_TENSOR, blocks)
+    _assert_matches_quantize(x, bits, PER_TENSOR)
+
+
+@pytest.mark.parametrize("bits", [4, 8])
+@pytest.mark.parametrize("gran", [PER_TOKEN, PER_TENSOR])
+def test_quantize_activations_outlier_inputs(bits, gran):
+    for seed in range(4):
+        x = outlier_activations(Prng(950 + seed), 12, 40, 15.0, [3, 17, 29], 100.0)
+        _assert_matches_quantize(x, bits, gran, [5, 1, 6] if gran == PER_TENSOR else None)
+
+
+@pytest.mark.parametrize("bits", [4, 8])
+@pytest.mark.parametrize("gran", [PER_TOKEN, PER_TENSOR])
+def test_quantize_activations_exact_ties(bits, gran):
+    """+-(k + 0.5) * scale rounds away from zero to +-(k + 1)."""
+    limit = (1 << (bits - 1)) - 1
+    scale = np.float32(2.0**-5)
+    k = np.arange(limit, dtype=np.float32)
+    row = np.concatenate([[limit], k + 0.5, -(k + 0.5)]).astype(np.float32) * scale
+    x = np.stack([row, -row])
+    codes, scales = quantize_activations(x, bits, gran)
+    assert np.array_equal(scales, np.full(2, float(scale)))
+    want = np.concatenate([[limit], k + 1, -(k + 1)])
+    assert np.array_equal(codes, np.stack([want, -want]))
+    _assert_matches_quantize(x, bits, gran)
+
+
+@pytest.mark.parametrize("bits", [4, 8])
+def test_quantize_activations_near_ties(bits):
+    """One float32 step either side of (k + 0.5) * scale, for scales that
+    are not powers of two: the quotient must be taken in float64."""
+    limit = (1 << (bits - 1)) - 1
+    rows = []
+    for scale in np.float32([0.1, 0.3, 1.7, 3.3e-3, 123.4]):
+        ties = (np.arange(limit, dtype=np.float32) + np.float32(0.5)) * scale
+        for toward in (np.float32(0.0), np.float32(np.inf)):
+            rows.append(np.concatenate([[limit * scale], np.nextafter(ties, toward)]).astype(np.float32))
+    x = np.stack(rows)
+    _assert_matches_quantize(x, bits, PER_TOKEN)
+    _assert_matches_quantize(-x, bits, PER_TENSOR, [1] * x.shape[0])
+
+
+@pytest.mark.parametrize("gran", [PER_TOKEN, PER_TENSOR])
+def test_quantize_activations_all_zero_rows(gran):
+    x = np.zeros((3, 5), dtype=np.float32)
+    x[1] = [0.5, -1.0, 0.0, 2.0, -0.25]
+    codes, scales = quantize_activations(x, 8, gran, [1, 1, 1] if gran == PER_TENSOR else None)
+    assert scales[0] == scales[2] == 1.0
+    assert not codes[[0, 2]].any()
+    _assert_matches_quantize(x, 8, gran, [1, 1, 1] if gran == PER_TENSOR else None)
+
+
+def test_quantize_activations_rejects_non_finite_and_bad_blocks():
+    x = np.ones((2, 3), dtype=np.float32)
+    x[1, 2] = np.inf
+    with pytest.raises(ValidationError, match="non-finite"):
+        quantize_activations(x, 8, PER_TOKEN)
+    with pytest.raises(ShapeError):
+        quantize_activations(np.ones((3, 2), dtype=np.float32), 8, PER_TENSOR, [1, 1])
+    # A subnormal peak gives a scale that rounds to 0 in float32.
+    tiny = np.full((1, 2), 1e-45, dtype=np.float32)
+    for quantizer in (lambda: quantize(tiny, 8, PER_TOKEN), lambda: quantize_activations(tiny, 8, PER_TOKEN)):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            quantizer()
+
+
+# ---------------------------------------------------------------------------
+# int32 accumulation guarantee at the contraction limit
+
+
+def _extreme_codes(bits, k):
+    """Rows of all +limit, all -limit and a seeded +-limit pattern."""
+    limit = (1 << (bits - 1)) - 1
+    signs = np.where(Prng(960 + bits).uniform_matrix(1, k, -1.0, 1.0) < 0, -1, 1)
+    return (np.concatenate([np.ones((2, k)), signs]) * [[limit], [-limit], [limit]]).astype(np.int8)
+
+
+@pytest.mark.parametrize("bits", [4, 8])
+def test_gemm_exact_at_max_contraction(bits):
+    a = _extreme_codes(bits, MAX_CONTRACTION)
+    b = np.ascontiguousarray(_extreme_codes(bits, MAX_CONTRACTION).T)
+    want = a.astype(np.int64) @ b.astype(np.int64)
+    assert np.abs(want).max() == MAX_CONTRACTION * ((1 << (bits - 1)) - 1) ** 2
+    got = gemm_i8_i32(QuantGrid(a, bits, ScaleDescriptor("per-tensor", np.float32(1.0))),
+                      QuantGrid(b, bits, ScaleDescriptor("per-tensor", np.float32(1.0))))
+    assert got.dtype == np.int32
+    assert np.array_equal(got, want)
+    acc = kernel._gemm(a.astype(np.float64), b.astype(np.float64))
+    assert acc.dtype == np.float64
+    assert np.array_equal(acc, want)
+    mid_scale = float(np.abs(want).max()) / 127.0
+    mid = requant_mid(got, mid_scale)
+    assert mid.codes.dtype == np.int8
+    assert np.array_equal(mid.codes, round_half_away(want / mid_scale))
+
+
+def _max_contraction_layer(c_in):
+    ones = ScaleDescriptor("per-tensor", np.float32(1.0))
+    return CompiledSkillLayer(
+        name="wide",
+        smooth_inv=np.ones(c_in, dtype=np.float32),
+        a_hat=QuantGrid(_extreme_codes(8, c_in)[2:].T.copy(), 8, ones),
+        b_hat=QuantGrid(np.array([[127]], dtype=np.int8), 8, ones),
+        mid_scale=float(c_in * 127),
+        config=QuantConfig(gran_b="per-tensor"),
+    )
+
+
+def test_forward_exact_at_max_contraction():
+    """x codes equal to A's codes make every product +127^2, so the first
+    accumulator peaks at K * 127^2 and the output is exactly K * 127^3."""
+    layer = _max_contraction_layer(MAX_CONTRACTION)
+    x = layer.a_hat.codes.T.astype(np.float32)
+    diag = ForwardDiag()
+    out = forward_quantized(layer, x, diag=diag)
+    assert out.dtype == np.float32
+    assert out.tolist() == [[float(MAX_CONTRACTION * 127**3)]]
+    assert diag.mid_saturated == 0
+
+
+def test_contraction_past_the_guarantee_rejected():
+    k = MAX_CONTRACTION + 1
+    grid = QuantGrid(np.ones((1, k), dtype=np.int8), 8, ScaleDescriptor("per-tensor", np.float32(1.0)))
+    column = QuantGrid(np.ones((k, 1), dtype=np.int8), 8, ScaleDescriptor("per-tensor", np.float32(1.0)))
+    with pytest.raises(ShapeError, match="int32 guarantee"):
+        gemm_i8_i32(grid, column)
+    layer = _max_contraction_layer(k)
+    with pytest.raises(ShapeError, match="int32 guarantee"):
+        forward_quantized(layer, np.ones((1, k), dtype=np.float32))

@@ -1,5 +1,10 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillzip import (
     CompiledSkillLayer,
@@ -14,6 +19,7 @@ from skillzip import (
     read_skillpack,
     write_skillpack,
 )
+from skillzip import packio
 from skillzip.packio import Manifest, manifest_for, serialize_skillpack
 from skillzip.prng import Prng
 
@@ -157,3 +163,82 @@ def test_compression_ratio_can_drop_below_one():
     ratio = compression_ratio(Skillpack("t", {"layer0": layer}))
     assert ratio > 0
     assert ratio < 1  # tiny layer, header overhead dominates
+
+
+# ---------------------------------------------------------------------------
+# Crafted files with a valid CRC: the decoder raises FormatError only
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def _crafted_pack(path, fields=None, task=b"math", bits=(8, 8, 8)):
+    """One-layer pack whose layer field payloads (by tag) may be replaced."""
+    record = packio._serialize_layer("layer0", _layer(Prng(210), bits=bits))[6:]
+    out, pos = [], 0
+    while pos < len(record):
+        tag, n = struct.unpack_from("<HI", record, pos)
+        out.append(packio._tlv(tag, (fields or {}).get(tag, record[pos + 6 : pos + 6 + n])))
+        pos += 6 + n
+    body = packio.MAGIC + struct.pack("<HH", packio.VERSION, len(task)) + task + struct.pack("<I", 1)
+    path.write_bytes(_with_crc(body + packio._tlv(packio._TAG_LAYER, b"".join(out))))
+    return path
+
+
+def test_crafted_pack_baseline_reads(tmp_path):
+    pack = read_skillpack(_crafted_pack(tmp_path / "ok.skz"))
+    assert pack.task_id == "math" and set(pack.layers) == {"layer0"}
+
+
+@pytest.mark.parametrize(
+    "fields, task, bits",
+    [
+        ({}, b"\xffmath", (8, 8, 8)),
+        ({packio._TAG_NAME: b"\xfe\xfflayer"}, b"math", (8, 8, 8)),
+        ({packio._TAG_DIMS: b"\x08\x00\x00"}, b"math", (8, 8, 8)),
+        ({packio._TAG_RANK: b""}, b"math", (8, 8, 8)),
+        ({packio._TAG_BITS: b"\x08\x08"}, b"math", (8, 8, 8)),
+        ({packio._TAG_GRANS: b"\x01\x02\x00"}, b"math", (8, 8, 8)),
+        ({packio._TAG_A_SCALE: b"\x00\x00\x80"}, b"math", (8, 8, 8)),
+        ({packio._TAG_B_SCALES: b""}, b"math", (8, 8, 8)),
+        ({packio._TAG_B_SCALES: b"\x00\x00\x00\x80"}, b"math", (8, 8, 8)),
+        ({packio._TAG_MID_SCALE: b"\x00\x00\x80\x3f"}, b"math", (8, 8, 8)),
+        ({packio._TAG_ROTATION: b"\x00" * 8}, b"math", (8, 8, 8)),
+        ({packio._TAG_A_CODES: b"\x00"}, b"math", (8, 4, 4)),
+    ],
+    ids=[
+        "task-utf8", "name-utf8", "dims-3-bytes", "rank-empty", "bits-2-bytes", "grans-3-bytes",
+        "a-scale-3-bytes", "b-scales-empty", "b-scales-ragged", "mid-4-bytes", "rotation-8-bytes", "int4-short",
+    ],
+)
+def test_crafted_pack_rejected_with_format_error(tmp_path, fields, task, bits):
+    path = _crafted_pack(tmp_path / "bad.skz", fields, task, bits)
+    with pytest.raises(FormatError):
+        read_skillpack(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    op=st.sampled_from(["flip", "truncate", "insert"]),
+    where=st.floats(0.0, 1.0, exclude_max=True),
+    data=st.binary(min_size=1, max_size=4),
+)
+def test_mutated_pack_raises_format_error_only(tmp_path_factory, op, where, data):
+    """Byte flips, truncation and insertion anywhere after the magic, with
+    the CRC fixed up: the read either succeeds or raises FormatError."""
+    good = serialize_skillpack(Skillpack("math", {"l0": _layer(Prng(211)), "l1": _layer(Prng(212), bits=(8, 4, 4))}))
+    body = bytearray(good[:-4])
+    at = 4 + int(where * (len(body) - 4))
+    if op == "flip":
+        body[at : at + len(data)] = bytes(b ^ (d or 1) for b, d in zip(body[at : at + len(data)], data))
+    elif op == "truncate":
+        del body[at:]
+    else:
+        body[at:at] = data
+    path = tmp_path_factory.mktemp("skz") / "m.skz"
+    path.write_bytes(_with_crc(bytes(body)))
+    try:
+        read_skillpack(path)
+    except FormatError:
+        pass

@@ -227,3 +227,104 @@ def test_bad_request_rejected_before_any_compute(monkeypatch, bad_x, error):
     with pytest.raises(error):
         dispatch_sequential(batch, reg)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# One backbone matmul per batch; the skill path per label group
+
+
+def _mixed_registry():
+    """Per-token X, per-tensor X and int4-B (per-tensor scale) packs."""
+    rng = Prng(310)
+    backbone = {"layer0": rng.uniform_matrix(C_IN, C_OUT, -0.5, 0.5)}
+    configs = {
+        "A": QuantConfig(),
+        "B": QuantConfig(gran_x="per-tensor"),
+        "C": QuantConfig(bits_b=4, gran_b="per-tensor"),
+    }
+    packs = {}
+    for task, config in configs.items():
+        trng = rng.spawn(task)
+        smooth = np.abs(trng.uniform_matrix(1, C_IN, 0.5, 2.0)).reshape(-1)
+        a = trng.uniform_matrix(C_IN, 4, -0.5, 0.5)
+        b = trng.uniform_matrix(4, C_OUT, -0.5, 0.5)
+        layer = compile_layer("layer0", smooth, a, b, config, x_calib=trng.uniform_matrix(16, C_IN, -2.0, 2.0))
+        packs[task] = Skillpack(task, {"layer0": layer})
+    return SkillRegistry(backbone=backbone, target_layer="layer0", packs=packs)
+
+
+def _interleaved_batch(seed):
+    rng = Prng(seed)
+    # Per-tensor requests of very different magnitudes share group "B".
+    scales = {"A": 3.0, "B": 0.01, "C": 2.0}
+    reqs = []
+    for i, t in enumerate(("A", "B", "A", "C", "B")):
+        scale = scales[t] * (1000.0 if i == 4 else 1.0)
+        reqs.append(ForwardRequest(t, rng.uniform_matrix(rng.below(4) + 1, C_IN, -scale, scale)))
+    return Batch(reqs)
+
+
+def test_interleaved_skill_path_bitwise_equals_sequential(monkeypatch):
+    """Split by request, the skill-path outputs of the grouped calls are
+    byte-identical to the per-request calls dispatch_sequential makes."""
+    import skillzip.kernel
+
+    calls = []
+    original = skillzip.kernel.forward_quantized
+
+    def recording(layer, x, diag=None, row_blocks=None):
+        out = original(layer, x, diag=diag, row_blocks=row_blocks)
+        calls.append((layer, row_blocks or [x.shape[0]], out))
+        return out
+
+    monkeypatch.setattr(skillzip.kernel, "forward_quantized", recording)
+    reg = _mixed_registry()
+    for seed in range(3):
+        batch = _interleaved_batch(320 + seed)
+        calls.clear()
+        outs = dispatch_batch(batch, reg)
+        grouped = {}
+        for layer, blocks, out in calls:
+            grouped[id(layer)] = np.split(out, np.cumsum(blocks)[:-1])
+        assert len(calls) == 3
+        calls.clear()
+        seq = dispatch_sequential(batch, reg)
+        per_request = [out for _, _, out in calls]
+        for req, got, want, skill in zip(batch.requests, outs, seq, per_request):
+            batched_skill = grouped[id(reg.serving_layer(req.task_id))].pop(0)
+            assert batched_skill.tobytes() == skill.tobytes()
+            assert got.shape == want.shape
+            assert fro_norm(got - want) <= 1e-6 * max(fro_norm(want), 1e-9)
+
+
+def test_one_backbone_matmul_per_batch(monkeypatch):
+    import skillzip.kernel
+
+    calls = []
+    original = skillzip.kernel.matmul
+    monkeypatch.setattr(skillzip.kernel, "matmul", lambda a, b: calls.append(a.shape) or original(a, b))
+    reg = _mixed_registry()
+    for seed in range(3):
+        batch = _interleaved_batch(330 + seed)
+        calls.clear()
+        dispatch_batch(batch, reg)
+        assert calls == [(sum(r.x.shape[0] for r in batch.requests), C_IN)]
+    assert dispatch_batch(Batch([]), reg) == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_smoothed_overflow_rejected_in_both_paths():
+    """A finite request whose smoothed activations overflow float32."""
+    rng = Prng(311)
+    backbone = {"layer0": rng.uniform_matrix(C_IN, C_OUT, -0.5, 0.5)}
+    smooth = np.full(C_IN, 1e-30, dtype=np.float32)  # reciprocal 1e30
+    layer = compile_layer(
+        "layer0", smooth, rng.uniform_matrix(C_IN, 2, -1, 1), rng.uniform_matrix(2, C_OUT, -1, 1),
+        QuantConfig(), mid_scale=1.0,
+    )
+    reg = SkillRegistry(backbone=backbone, target_layer="layer0", packs={"big": Skillpack("big", {"layer0": layer})})
+    x = np.full((2, C_IN), 1e9, dtype=np.float32)
+    batch = Batch([ForwardRequest("big", x)])
+    for dispatch in (dispatch_batch, dispatch_sequential):
+        with pytest.raises(ValidationError, match="non-finite"):
+            dispatch(batch, reg)
