@@ -36,10 +36,10 @@ class SynthSuite:
 def _low_rank(rng: Prng, c_in: int, c_out: int, rank: int, scale: float, decay: float = 1.0) -> np.ndarray:
     """Sum of `rank` outer products; component j is scaled by decay^j."""
     total = np.zeros((c_in, c_out), dtype=np.float64)
-    for j in range(rank):
-        u = np.array([rng.gauss() for _ in range(c_in)], dtype=np.float64)
-        v = np.array([rng.gauss() for _ in range(c_out)], dtype=np.float64)
-        total += (scale * decay**j) * np.outer(u, v) / np.sqrt(c_in * c_out)
+    # Row j holds u_j then v_j, in the order the stream draws them.
+    draws = rng.gauss_block(rank * (c_in + c_out)).reshape(rank, c_in + c_out)
+    for j, row in enumerate(draws):
+        total += (scale * decay**j) * np.outer(row[:c_in], row[c_in:]) / np.sqrt(c_in * c_out)
     return total.astype(np.float32)
 
 

@@ -68,8 +68,16 @@ class Manifest:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @staticmethod
-    def from_json(text: str) -> "Manifest":
-        body = json.loads(text)
+    def from_json(text: str | bytes) -> "Manifest":
+        """Parse a sidecar; anything but a manifest object raises FormatError."""
+        try:
+            body = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise FormatError(f"manifest is not valid JSON: {exc}") from exc
+        if not isinstance(body, dict) or any(key not in body for key in ("task_id", "layers", "compression_ratio")):
+            raise FormatError("manifest must be an object with task_id, layers and compression_ratio")
+        if not isinstance(body["layers"], list) or not all(isinstance(entry, dict) for entry in body["layers"]):
+            raise FormatError("manifest layers must be a list of objects")
         return Manifest(
             task_id=body["task_id"],
             layers=body["layers"],
@@ -304,19 +312,27 @@ def read_skillpack(path: str | os.PathLike) -> Skillpack:
     manifest = None
     sidecar = spath + ".manifest.json"
     if os.path.exists(sidecar):
-        with open(sidecar, "r", encoding="utf-8") as f:
-            manifest = Manifest.from_json(f.read())
+        with open(sidecar, "rb") as f:
+            text = f.read()
+        try:
+            manifest = Manifest.from_json(text)
+        except FormatError as exc:
+            raise FormatError(f"{sidecar}: {exc}") from exc
         _cross_check_manifest(manifest, layers, spath)
     return Skillpack(task_id=task_id, layers=layers, manifest=manifest)
 
 
 def _cross_check_manifest(manifest: Manifest, layers: dict[str, CompiledSkillLayer], path: str) -> None:
+    keys = ("rank", "bits_x", "bits_a", "bits_b")
+    for entry in manifest.layers:
+        if not isinstance(entry.get("name"), str) or any(key not in entry for key in keys):
+            raise FormatError(f"{path}: manifest layer entries need a string name and {', '.join(keys)}")
     by_name = {entry["name"]: entry for entry in manifest.layers}
     if set(by_name) != set(layers):
         raise FormatError(f"{path}: manifest layer set does not match the payload")
     for name, layer in layers.items():
         entry = by_name[name]
-        claims = (entry["rank"], entry["bits_x"], entry["bits_a"], entry["bits_b"])
+        claims = tuple(entry[key] for key in keys)
         actual = (layer.rank, layer.config.bits_x, layer.config.bits_a, layer.config.bits_b)
         if claims != actual:
             raise FormatError(f"{path}: manifest rank/bits for {name!r} disagree with the payload")

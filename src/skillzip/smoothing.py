@@ -73,13 +73,27 @@ def sample_rotation(prng: Prng, r: int, max_attempts: int = 50) -> np.ndarray:
     """
     if r < 1:
         raise ValidationError("rotation size must be >= 1")
+    # Columns read r*r draws in stream order; a retry takes the next r, so
+    # once the block runs out the remaining columns continue the stream.
+    draws = prng.gauss_block(r * r)
+    used = 0
     q = np.empty((r, r), dtype=np.float64)
+    # The dot products stay on the strided views q[:, i]: a contiguous copy
+    # takes BLAS's unit-stride kernel, which sums in another order.
+    basis: list[np.ndarray] = []
+    proj = np.empty(r, dtype=np.float64)
+    multiply, subtract = np.multiply, np.subtract
     for j in range(r):
         for attempt in range(max_attempts + 1):
-            col = np.array([prng.gauss() for _ in range(r)], dtype=np.float64)
+            if used < draws.size:
+                col = draws[used : used + r]
+                used += r
+            else:
+                col = prng.gauss_block(r)
             for _ in range(2):  # MGS with reorthogonalization
-                for i in range(j):
-                    col -= np.dot(q[:, i], col) * q[:, i]
+                for qi in basis:
+                    multiply(qi, qi.dot(col), out=proj)
+                    subtract(col, proj, out=col)
             norm = np.linalg.norm(col)
             if norm > 1e-8:
                 break
@@ -90,6 +104,7 @@ def sample_rotation(prng: Prng, r: int, max_attempts: int = 50) -> np.ndarray:
         if col[lead] < 0:
             col = -col
         q[:, j] = col
+        basis.append(q[:, j])
     return q.astype(np.float32)
 
 

@@ -294,3 +294,43 @@ def test_bench_crafted_pack_exit_code(fixture_dir, tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    ["{not json", '{"task_id": "t"}', None],
+    ids=["not-json", "no-layers", "layer-without-name"],
+)
+def test_malformed_manifest_exit_code(fixture_dir, tmp_path, capsys, sidecar):
+    """eval and bench --pack on a pack whose manifest sidecar is malformed:
+    exit 3 and no traceback."""
+    out = tmp_path / "packs"
+    rc = main(
+        [
+            "compress",
+            "--base", str(fixture_dir / "base.ftz"),
+            "--tuned", str(fixture_dir / "math.ftz"),
+            "--calib", str(fixture_dir / "calib.ftz"),
+            "--out", str(out),
+            "--seed", "1",
+        ]
+    )
+    assert rc == 0
+    manifest = out / "math.skz.manifest.json"
+    if sidecar is None:
+        body = json.loads(manifest.read_text())
+        del body["layers"][0]["name"]
+        sidecar = json.dumps(body)
+    manifest.write_text(sidecar)
+    stream = tmp_path / "s.jsonl"
+    stream.write_text(json.dumps({"task": "math", "x": [[0.0] * 48]}) + "\n")
+    capsys.readouterr()
+    commands = (
+        ["eval", "--backbone", str(out / "backbone.ftz"), "--tuned", str(fixture_dir / "math.ftz"),
+         "--pack", str(out / "math.skz"), "--activations", str(fixture_dir / "eval.ftz")],
+        ["bench", "--backbone", str(out / "backbone.ftz"), "--pack", str(out / "math.skz"), "--stream", str(stream)],
+    )
+    for argv in commands:
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "manifest" in err and "Traceback" not in err

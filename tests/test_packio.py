@@ -1,3 +1,4 @@
+import json
 import struct
 import zlib
 
@@ -141,6 +142,40 @@ def test_manifest_mismatch_detected(tmp_path):
     lying = Manifest.from_json(sidecar.read_text())
     lying.layers[0]["rank"] += 1
     sidecar.write_text(lying.to_json())
+    with pytest.raises(FormatError, match="manifest"):
+        read_skillpack(path)
+
+
+def _layer_entry_without_name(good):
+    body = json.loads(good)
+    del body["layers"][0]["name"]
+    return json.dumps(body)
+
+
+MALFORMED_MANIFESTS = {
+    "not-json": lambda good: "{not json",
+    "no-layers": lambda good: '{"task_id": "t"}',
+    "layer-without-name": _layer_entry_without_name,
+    "not-an-object": lambda good: "[1, 2]",
+    "layers-not-objects": lambda good: good.replace('"layers": [\n    {', '"layers": [\n    "x", {', 1),
+    "name-not-string": lambda good: good.replace('"name": "layer0"', '"name": ["layer0"]', 1),
+    "not-utf8": lambda good: b"\xff\xfe{" ,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_malformed_manifest_raises_format_error(tmp_path, case):
+    pack = Skillpack("t", {"layer0": _layer(Prng(208))})
+    pack.manifest = manifest_for(pack)
+    path = tmp_path / "m.skz"
+    write_skillpack(pack, path)
+    sidecar = tmp_path / "m.skz.manifest.json"
+    bad = MALFORMED_MANIFESTS[case](sidecar.read_text())
+    if isinstance(bad, bytes):
+        sidecar.write_bytes(bad)
+    else:
+        assert bad != sidecar.read_text()
+        sidecar.write_text(bad)
     with pytest.raises(FormatError, match="manifest"):
         read_skillpack(path)
 

@@ -1,7 +1,11 @@
 import os
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from skillzip import prng as prng_mod
 from skillzip.prng import Prng, _splitmix64
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "prng_seed42.txt")
@@ -72,3 +76,121 @@ def test_spawn_streams_stable_and_distinct():
     seq1 = [child1.next_u64() for _ in range(5)]
     assert seq1 == [again.next_u64() for _ in range(5)]
     assert seq1 != [child2.next_u64() for _ in range(5)]
+
+
+# ---------------------------------------------------------------------------
+# Block draws: exactly the scalar sequences, and the same state afterwards.
+
+_LANE_MIN = prng_mod._LANE_MIN
+# Sizes at the edges: empty, tiny, odd, the scalar/lane crossover, and one
+# below, at and above a whole number of lanes.
+_EDGE_SIZES = sorted(
+    {0, 1, 2, 3, 5, 63, 64, 65, _LANE_MIN - 1, _LANE_MIN, _LANE_MIN + 1}
+    | {n for n in range(_LANE_MIN, 12000) if (n + 1) % prng_mod._lane_length(n) in (0, 1, 2)}
+)
+sizes = st.one_of(st.sampled_from(_EDGE_SIZES), st.integers(0, 3000))
+seeds = st.integers(0, 2**64 - 1)
+
+_SCALAR = {"u64_block": "next_u64", "uniform_block": "uniform", "gauss_block": "gauss"}
+
+
+def _state(rng):
+    return list(rng._s), rng._gauss_spare
+
+
+def _same(block, scalar_values):
+    if block.dtype == np.uint64:
+        return block.tolist() == scalar_values
+    return block.dtype == np.float64 and block.tobytes() == np.array(scalar_values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n=sizes, kind=st.sampled_from(sorted(_SCALAR)), spare=st.booleans())
+def test_block_equals_scalar_sequence(seed, n, kind, spare):
+    a, b = Prng(seed), Prng(seed)
+    if spare:  # leave a pending Gaussian on both
+        assert a.gauss() == b.gauss()
+    block = getattr(a, kind)(n)
+    scalar = getattr(b, _SCALAR[kind])
+    assert block.shape == (n,)
+    assert _same(block, [scalar() for _ in range(n)])
+    assert _state(a) == _state(b)
+
+
+_OPS = st.lists(
+    st.tuples(st.sampled_from(["u64_block", "uniform_block", "gauss_block", "next_u64", "below", "gauss"]), sizes),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, ops=_OPS)
+def test_blocks_interleave_with_scalar_calls(seed, ops):
+    """block -> next_u64/below/gauss -> block keeps one stream."""
+    a, b = Prng(seed), Prng(seed)
+    for op, n in ops:
+        if op in _SCALAR:
+            scalar = getattr(b, _SCALAR[op])
+            assert _same(getattr(a, op)(n), [scalar() for _ in range(n)])
+        elif op == "below":
+            assert a.below(n + 1) == b.below(n + 1)
+        else:
+            assert getattr(a, op)() == getattr(b, op)()
+        assert _state(a) == _state(b)
+
+
+def _uniform_matrix_scalar(rng, rows, cols, low, high):
+    """The element-by-element fill the block draws replace."""
+    span = high - low
+    out = np.empty((rows, cols), dtype=np.float32)
+    flat = out.reshape(-1)
+    for i in range(flat.size):
+        flat[i] = low + span * rng.uniform()
+    return out
+
+
+def _gauss_matrix_scalar(rng, rows, cols):
+    out = np.empty((rows, cols), dtype=np.float32)
+    flat = out.reshape(-1)
+    for i in range(flat.size):
+        flat[i] = rng.gauss()
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=seeds,
+    rows=st.integers(0, 70),
+    cols=st.integers(0, 70),
+    low=st.floats(-1e3, 1e3),
+    width=st.floats(0.0, 1e3),
+    spare=st.booleans(),
+)
+def test_matrix_fills_equal_scalar_fills(seed, rows, cols, low, width, spare):
+    a, b = Prng(seed), Prng(seed)
+    if spare:
+        a.gauss(), b.gauss()
+    got = a.uniform_matrix(rows, cols, low, low + width)
+    want = _uniform_matrix_scalar(b, rows, cols, low, low + width)
+    assert got.dtype == np.float32 and got.shape == (rows, cols)
+    assert got.tobytes() == want.tobytes()
+    got = a.gauss_matrix(rows, cols)
+    want = _gauss_matrix_scalar(b, rows, cols)
+    assert got.dtype == np.float32 and got.shape == (rows, cols)
+    assert got.tobytes() == want.tobytes()
+    assert _state(a) == _state(b)
+
+
+def test_jump_matrices_advance_the_state():
+    state = Prng(99)._s
+    bits = prng_mod._state_bits(state).astype(np.float32)[:, None]
+    for e in (0, 1, 6, 11):
+        jumped = prng_mod._gf2(prng_mod._unpack(prng_mod._jump(e)) @ bits)
+        assert prng_mod._state_words(jumped)[:, 0].tolist() == prng_mod._scalar_draws(state, 1 << e)[1]
+
+
+@pytest.mark.parametrize("kind", sorted(_SCALAR))
+def test_negative_block_size_rejected(kind):
+    with pytest.raises(ValueError):
+        getattr(Prng(1), kind)(-1)

@@ -112,6 +112,85 @@ def test_rotation_deterministic():
     assert a.tobytes() == b.tobytes()
 
 
+def _sample_rotation_per_draw(prng, r, max_attempts=50):
+    """The one-gauss()-per-entry MGS that sample_rotation replaced; oracle."""
+    q = np.empty((r, r), dtype=np.float64)
+    for j in range(r):
+        for attempt in range(max_attempts + 1):
+            col = np.array([prng.gauss() for _ in range(r)], dtype=np.float64)
+            for _ in range(2):
+                for i in range(j):
+                    col -= np.dot(q[:, i], col) * q[:, i]
+            norm = np.linalg.norm(col)
+            if norm > 1e-8:
+                break
+        else:
+            raise ValidationError("could not draw a full-rank Gaussian basis")
+        col /= norm
+        lead = np.argmax(np.abs(col) > 1e-12 * np.max(np.abs(col)))
+        if col[lead] < 0:
+            col = -col
+        q[:, j] = col
+    return q.astype(np.float32)
+
+
+class _ScriptedDraws:
+    """A Gaussian source that serves a fixed script, singly or in blocks."""
+
+    def __init__(self, values):
+        self.values = [float(v) for v in values]
+        self.pos = 0
+
+    def gauss(self):
+        self.pos += 1
+        return self.values[self.pos - 1]
+
+    def gauss_block(self, n):
+        assert self.pos + n <= len(self.values), "script exhausted"
+        self.pos += n
+        return np.array(self.values[self.pos - n : self.pos], dtype=np.float64)
+
+
+def _script(r, degenerate_at, retries):
+    """r*r + r*retries draws; column `degenerate_at` (and each retry but the
+    last) repeats an earlier column or is all zeros."""
+    rng = np.random.default_rng(r * 100 + degenerate_at)
+    cols = [rng.standard_normal(r) for _ in range(r + retries)]
+    for k in range(retries):
+        cols[degenerate_at + k] = 2.0 * cols[0] if degenerate_at and k % 2 == 0 else np.zeros(r)
+    return np.concatenate(cols)
+
+
+@pytest.mark.parametrize("r,degenerate_at,retries", [(3, 0, 1), (3, 1, 1), (4, 3, 2), (5, 2, 3), (6, 1, 4)])
+def test_rotation_retry_path_matches_per_draw_oracle(r, degenerate_at, retries):
+    """Degenerate columns are redrawn from the stream in the same order:
+    the retry reads past the r*r block and later columns follow it."""
+    values = _script(r, degenerate_at, retries)
+    new, old = _ScriptedDraws(values), _ScriptedDraws(values)
+    q = sample_rotation(new, r)
+    assert q.tobytes() == _sample_rotation_per_draw(old, r).tobytes()
+    assert new.pos == old.pos == r * (r + retries)
+    q64 = q.astype(np.float64)
+    assert np.abs(q64.T @ q64 - np.eye(r)).max() < 1e-6
+
+
+def test_rotation_retry_exhaustion_matches_oracle():
+    r = 2
+    values = np.concatenate([np.ones(r), np.zeros(r * 4)])
+    for sampler in (sample_rotation, _sample_rotation_per_draw):
+        with pytest.raises(ValidationError, match="full-rank"):
+            sampler(_ScriptedDraws(values), r, max_attempts=3)
+
+
+@pytest.mark.parametrize("r", [1, 2, 6, 27, 32, 33, 64])
+def test_rotation_matches_per_draw_oracle(r):
+    a, b = Prng(500 + r), Prng(500 + r)
+    a.gauss()
+    b.gauss()  # start with a pending spare
+    assert sample_rotation(a, r).tobytes() == _sample_rotation_per_draw(b, r).tobytes()
+    assert a._s == b._s and a._gauss_spare == b._gauss_spare
+
+
 def test_fold_identity_unchanged():
     rng = Prng(73)
     a = rng.uniform_matrix(6, 4, -1, 1)
