@@ -8,10 +8,16 @@ Byte layout (little-endian, no padding):
               u32 rows, u32 cols, rows*cols float32 values }
     u32     CRC32 of all preceding bytes
 
-Entry names are unique, nonempty, at most 256 bytes. Values must be finite;
-a non-finite value is rejected at read time instead of leaking NaN into the
-pipeline. Round trips are bit-exact. Writes go through a temp file and a
-rename so readers never observe a partial archive.
+Entry names are unique, nonempty, at most 256 bytes. Shapes are nonempty and
+values finite: the writer refuses anything else with ValidationError and
+the reader with FormatError, so NaN never leaks into the pipeline. Round
+trips are bit-exact.
+
+The frame (magic, body, CRC32 of everything before it) is shared with the
+SKZ skillpack container: `seal` builds it, `write_atomic` writes it
+through a temp file and a rename so readers never observe a partial file,
+and `open_frame` checks size, magic and CRC and hands back a bounds-checked
+`Cursor` over the body.
 """
 
 from __future__ import annotations
@@ -28,6 +34,68 @@ MAGIC = b"FTZ1"
 MAX_NAME_BYTES = 256
 
 
+def seal(magic: bytes, chunks: list[bytes]) -> bytes:
+    """A framed file's bytes: the magic, the chunks, then a CRC32 of both."""
+    body = b"".join([magic, *chunks])
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def write_atomic(path: str | os.PathLike, data: bytes) -> None:
+    """Write through a temp file and a rename, so readers never see a partial file."""
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, "wb") as f:
+        f.write(data)
+    os.replace(tmp, path)
+
+
+class Cursor:
+    """Bounds-checked reads over a frame's body; every overrun raises FormatError."""
+
+    def __init__(self, data: bytes | memoryview, context: str):
+        self.data = data
+        self.pos = 0
+        self.context = context
+
+    def take(self, n: int) -> memoryview:
+        if self.pos + n > len(self.data):
+            raise FormatError(f"{self.context}: truncated")
+        out = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def name(self, n: int) -> str:
+        """The next n bytes, decoded as UTF-8."""
+        try:
+            return str(self.take(n), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.context}: name is not valid UTF-8") from exc
+
+    def end(self) -> None:
+        """Reject bytes left over after the last field."""
+        if self.pos != len(self.data):
+            raise FormatError(f"{self.context}: {len(self.data) - self.pos} trailing bytes")
+
+
+def open_frame(path: str | os.PathLike, magic: bytes) -> Cursor:
+    """Read a framed file and check its size, magic and CRC32 trailer; the
+    cursor covers the bytes between the magic and the trailer."""
+    spath = os.fspath(path)
+    with open(spath, "rb") as f:
+        data = f.read()
+    if len(data) < len(magic) + 8:
+        raise FormatError(f"{spath}: file too short ({len(data)} bytes) for a {magic!r} file")
+    if data[: len(magic)] != magic:
+        raise FormatError(f"{spath}: bad magic {data[: len(magic)]!r}")
+    (stored_crc,) = struct.unpack("<I", data[-4:])
+    actual_crc = zlib.crc32(memoryview(data)[:-4]) & 0xFFFFFFFF
+    if stored_crc != actual_crc:
+        raise FormatError(f"{spath}: CRC mismatch (stored {stored_crc:#010x}, actual {actual_crc:#010x})")
+    return Cursor(memoryview(data)[len(magic) : -4], spath)
+
+
 def _validate_entries(entries: list[tuple[str, np.ndarray]]) -> None:
     seen: set[str] = set()
     for name, m in entries:
@@ -39,77 +107,43 @@ def _validate_entries(entries: list[tuple[str, np.ndarray]]) -> None:
         seen.add(name)
         if m.dtype != np.float32 or m.ndim != 2:
             raise ValidationError(f"entry {name!r} must be a 2-D float32 matrix")
+        if not m.size:
+            raise ValidationError(f"entry {name!r} has empty shape {m.shape[0]}x{m.shape[1]}")
+        if not np.isfinite(m).all():
+            raise ValidationError(f"entry {name!r} contains non-finite values")
 
 
 def write_archive(path: str | os.PathLike, entries: list[tuple[str, np.ndarray]]) -> None:
     _validate_entries(entries)
-    chunks = [MAGIC, struct.pack("<I", len(entries))]
+    chunks = [struct.pack("<I", len(entries))]
     for name, m in entries:
         raw = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(raw)))
-        chunks.append(raw)
-        chunks.append(struct.pack("<II", m.shape[0], m.shape[1]))
-        chunks.append(np.ascontiguousarray(m, dtype="<f4").tobytes())
-    body = b"".join(chunks)
-    body += struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(body)
-    os.replace(tmp, path)
-
-
-class _Reader:
-    def __init__(self, data: bytes, path: str):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FormatError(f"{self.path}: truncated archive")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        chunks += [struct.pack("<H", len(raw)), raw, struct.pack("<II", *m.shape)]
+        chunks.append(m.astype("<f4", copy=False).tobytes())
+    write_atomic(path, seal(MAGIC, chunks))
 
 
 def read_archive(path: str | os.PathLike) -> list[tuple[str, np.ndarray]]:
     """Read and validate an FTZ archive; returns entries in stored order."""
-    spath = os.fspath(path)
-    with open(spath, "rb") as f:
-        data = f.read()
-    if len(data) < len(MAGIC) + 8:
-        raise FormatError(f"{spath}: file too short for an FTZ archive")
-    if data[:4] != MAGIC:
-        raise FormatError(f"{spath}: bad magic {data[:4]!r}")
-    stored_crc = struct.unpack("<I", data[-4:])[0]
-    actual_crc = zlib.crc32(data[:-4]) & 0xFFFFFFFF
-    if stored_crc != actual_crc:
-        raise FormatError(f"{spath}: CRC mismatch (stored {stored_crc:#010x}, actual {actual_crc:#010x})")
-
-    r = _Reader(data[:-4], spath)
-    r.take(4)
-    (count,) = struct.unpack("<I", r.take(4))
+    cur = open_frame(path, MAGIC)
+    where = cur.context
+    (count,) = cur.unpack("<I")
     entries: list[tuple[str, np.ndarray]] = []
     seen: set[str] = set()
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", r.take(2))
+        (name_len,) = cur.unpack("<H")
         if name_len == 0 or name_len > MAX_NAME_BYTES:
-            raise FormatError(f"{spath}: entry name length {name_len} out of range")
-        try:
-            name = r.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{spath}: entry name is not valid UTF-8") from exc
+            raise FormatError(f"{where}: entry name length {name_len} out of range")
+        name = cur.name(name_len)
         if name in seen:
-            raise FormatError(f"{spath}: duplicate entry name {name!r}")
+            raise FormatError(f"{where}: duplicate entry name {name!r}")
         seen.add(name)
-        rows, cols = struct.unpack("<II", r.take(8))
+        rows, cols = cur.unpack("<II")
         if rows < 1 or cols < 1:
-            raise FormatError(f"{spath}: entry {name!r} has empty shape {rows}x{cols}")
-        payload = r.take(rows * cols * 4)
-        m = np.frombuffer(payload, dtype="<f4").reshape(rows, cols).astype(np.float32)
+            raise FormatError(f"{where}: entry {name!r} has empty shape {rows}x{cols}")
+        m = np.frombuffer(cur.take(rows * cols * 4), dtype="<f4").reshape(rows, cols).astype(np.float32)
         if not np.isfinite(m).all():
-            raise FormatError(f"{spath}: entry {name!r} contains non-finite values")
+            raise FormatError(f"{where}: entry {name!r} contains non-finite values")
         entries.append((name, m))
-    if r.pos != len(r.data):
-        raise FormatError(f"{spath}: {len(r.data) - r.pos} trailing bytes after last entry")
+    cur.end()
     return entries

@@ -12,13 +12,13 @@ import argparse
 import json
 import os
 import sys
-import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import archive, bench, evaluate, fixtures, packio, routing
 from .deltas import extract_delta
-from .errors import FormatError, SkillzipError
+from .errors import FormatError, SkillzipError, ValidationError
 from .pipeline import PipelineConfig, compress
 
 
@@ -28,13 +28,11 @@ def _load_archive(path: str) -> dict[str, np.ndarray]:
 
 def _load_config(args) -> PipelineConfig:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
+        with open(args.config, "rb") as f:
             config = PipelineConfig.from_json(f.read())
     else:
         config = PipelineConfig()
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=args.seed)
     return config
 
@@ -60,11 +58,8 @@ def cmd_gen_synth(args) -> int:
         outlier_ratio=args.ratio,
     )
     os.makedirs(args.out, exist_ok=True)
-    archive.write_archive(os.path.join(args.out, "base.ftz"), sorted(suite.base.items()))
-    for task, weights in suite.tuned.items():
-        archive.write_archive(os.path.join(args.out, f"{task}.ftz"), sorted(weights.items()))
-    archive.write_archive(os.path.join(args.out, "calib.ftz"), sorted(suite.calib.items()))
-    archive.write_archive(os.path.join(args.out, "eval.ftz"), sorted(suite.eval_x.items()))
+    for stem, entries in [("base", suite.base), *suite.tuned.items(), ("calib", suite.calib), ("eval", suite.eval_x)]:
+        archive.write_archive(os.path.join(args.out, f"{stem}.ftz"), sorted(entries.items()))
     print(f"wrote base, {len(suite.tuned)} tuned sets, calib, eval under {args.out}")
     return 0
 
@@ -114,6 +109,8 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ValidationError(f"--repeats must be >= 1, got {args.repeats}")
     backbone = _load_archive(args.backbone)
     packs = [packio.read_skillpack(p) for p in args.pack]
     target = args.layer or sorted(backbone.keys())[0]

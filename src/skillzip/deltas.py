@@ -42,7 +42,7 @@ class MergePlan:
             raise ValidationError(f"unknown merge method {self.method!r}")
         if not (0.0 <= self.tau < 0.5):
             raise ValidationError("tau must lie in [0, 0.5)")
-        if not np.isfinite(self.coefficient) or not (0.0 <= self.coefficient <= 2.0):
+        if not (0.0 <= self.coefficient <= 2.0):
             raise ValidationError("coefficient must be finite and in [0, 2]")
 
 

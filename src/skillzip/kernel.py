@@ -8,8 +8,9 @@ low-rank factors plus the scales needed to run
 entirely in integers between the outer scale applications:
 
     1. activations are multiplied by the reciprocal smoothing vector and
-       each row is divided by its scale (per token, or per request for
-       per-tensor X, from per-row peaks) and rounded to codes;
+       quantized by `quant.quantize_codes`, the one quantization rule: each
+       row (per token) or each request's block of rows (per-tensor X) is a
+       group with its own float32 scale;
     2. first integer matmul accumulates exactly (the int32 guarantee);
     3. the accumulator is requantized to int8 through one per-tensor
        scalar (the only scale permitted between the two matmuls);
@@ -46,6 +47,7 @@ from .quant import (
     calibration_hessian,
     gptq_refine,
     quantize,
+    quantize_codes,
     round_half_away,
 )
 from .tensors import matmul
@@ -88,6 +90,9 @@ class CompiledSkillLayer:
             raise ValidationError("A must carry a per-tensor scale")
         if not (self.mid_scale > 0) or not np.isfinite(self.mid_scale):
             raise ValidationError("mid requant scale must be positive and finite")
+        grids = (self.a_hat.bits, self.b_hat.bits, self.b_hat.scale.granularity)
+        if (self.config.bits_a, self.config.bits_b, self.config.gran_b) != grids:
+            raise ValidationError(f"config bits_a/bits_b/gran_b disagree with the A and B grids {grids}")
 
     @property
     def c_in(self) -> int:
@@ -120,58 +125,13 @@ def gemm_i8_i32(a: QuantGrid, b: QuantGrid) -> np.ndarray:
     return _gemm(a.codes.astype(np.float64), b.codes.astype(np.float64)).astype(np.int32)
 
 
-def _requant(acc: np.ndarray, mid_scale: float) -> tuple[np.ndarray, int]:
-    """Float64 int8-range codes (no -0.0) and the count clamped to +-127."""
-    rounded = round_half_away(acc / float(mid_scale))
-    saturated = int(np.count_nonzero(np.abs(rounded) > 127))
-    return np.clip(rounded, -127, 127) + 0.0, saturated
-
-
 def requant_mid(acc: np.ndarray, mid_scale: float) -> QuantGrid:
     """Truncate an int32 accumulator to int8 through one per-tensor scale."""
     if not (mid_scale > 0):
         raise ValidationError("mid requant scale must be positive")
-    codes, _ = _requant(np.asarray(acc, dtype=np.float64), mid_scale)
+    codes = np.asarray(acc, dtype=np.float64) / float(mid_scale)
+    round_half_away(codes, 127)
     return QuantGrid(codes.astype(np.int8), 8, ScaleDescriptor(PER_TENSOR, np.float32(mid_scale)))
-
-
-def quantize_activations(
-    x_s: np.ndarray, bits: int, granularity: str, row_blocks: list[int] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize float32 smoothed activations; returns (float64 codes,
-    float64 per-row scales).
-
-    Per-token, each row is its own group; per-tensor, each row block (one
-    request in a batched call, the whole matrix by default) is. Codes and
-    scales equal `quant.quantize` on that group bit for bit: the same
-    float32 scale, then float64 division, half-away rounding and clamping.
-    """
-    peaks = np.max(np.abs(x_s), axis=1, initial=0.0)
-    if not np.isfinite(peaks).all():
-        raise ValidationError("quantize input contains non-finite values")
-    if granularity == PER_TENSOR:
-        sizes = row_blocks if row_blocks is not None else [x_s.shape[0]]
-        if sum(sizes) != x_s.shape[0]:
-            raise ShapeError("row blocks must sum to the token count")
-        sizes = np.array([n for n in sizes if n], dtype=np.intp)
-        if sizes.size:
-            starts = np.cumsum(sizes) - sizes
-            peaks = np.repeat(np.maximum.reduceat(peaks, starts), sizes)
-    limit = (1 << (bits - 1)) - 1
-    scales = peaks.astype(np.float64) / limit
-    scales = np.where(scales == 0.0, 1.0, scales).astype(np.float32)  # all-zero group rule
-    if not (scales > 0).all():
-        raise ValidationError("scales must be positive and finite")
-    scales = scales.astype(np.float64)
-    # round_half_away and the clamp, in place; += 0.0 turns -0.0 into 0.0.
-    q = x_s / scales[:, None]
-    codes = np.abs(q)
-    codes += 0.5
-    np.floor(codes, out=codes)
-    np.minimum(codes, limit, out=codes)
-    np.copysign(codes, q, out=codes)
-    codes += 0.0
-    return codes, scales
 
 
 def forward_quantized(
@@ -188,10 +148,11 @@ def forward_quantized(
     if x.ndim != 2 or x.shape[1] != layer.c_in:
         raise ShapeError(f"activations must be T x {layer.c_in}, got {x.shape}")
     x_s = np.asarray(x, dtype=np.float32) * layer.smooth_inv
-    x_codes, row_scales = quantize_activations(x_s, layer.config.bits_x, layer.config.gran_x, row_blocks)
+    x_codes, x_scales = quantize_codes(x_s, layer.config.bits_x, layer.config.gran_x, row_blocks)
 
     acc1 = _gemm(x_codes, layer.a_hat.codes.astype(np.float64))
-    mid_codes, mid_sat = _requant(acc1, layer.mid_scale)
+    mid_codes = acc1 / layer.mid_scale
+    mid_sat = round_half_away(mid_codes, 127)
     acc2 = _gemm(mid_codes, layer.b_hat.codes.astype(np.float64))
 
     if diag is not None:
@@ -202,19 +163,13 @@ def forward_quantized(
     scalar = layer.s_a * layer.mid_scale
     if b_scale.granularity == PER_TENSOR:
         scalar *= float(b_scale.scales)
-    acc2 *= (scalar * row_scales)[:, None]
+    acc2 *= scalar * x_scales.astype(np.float64)
     if b_scale.granularity == PER_CHANNEL:
         acc2 *= b_scale.scales.astype(np.float64)
     return acc2.astype(np.float32)
 
 
-def forward_full(
-    backbone_w: np.ndarray,
-    layer: CompiledSkillLayer | None,
-    x: np.ndarray,
-    diag: ForwardDiag | None = None,
-    row_blocks: list[int] | None = None,
-) -> np.ndarray:
+def forward_full(backbone_w: np.ndarray, layer: CompiledSkillLayer | None, x: np.ndarray) -> np.ndarray:
     """Shared-path output x @ W plus the skillpack path when one is attached."""
     if x.shape[1] != backbone_w.shape[0]:
         raise ShapeError(f"activations {x.shape} do not match backbone {backbone_w.shape}")
@@ -223,7 +178,7 @@ def forward_full(
         return base
     if layer.c_out != backbone_w.shape[1]:
         raise ShapeError("skillpack output width does not match the backbone layer")
-    return base + forward_quantized(layer, x, diag=diag, row_blocks=row_blocks)
+    return base + forward_quantized(layer, x)
 
 
 def calibrate_mid_scale(acc1: np.ndarray) -> float:
@@ -259,7 +214,7 @@ def compile_layer(
     acc1 = None
     if x_calib is not None:
         x_s = x_calib.astype(np.float32) / smooth
-        x_codes, _ = quantize_activations(x_s, config.bits_x, config.gran_x)
+        x_codes, _ = quantize_codes(x_s, config.bits_x, config.gran_x, None)
         acc1 = _gemm(x_codes, a_hat.codes.astype(np.float64))
 
     if use_gptq:

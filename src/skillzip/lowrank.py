@@ -35,9 +35,9 @@ class RankPolicy:
     value: float
 
     @staticmethod
-    def fixed(r: int) -> "RankPolicy":
-        if r < 1:
-            raise ValidationError("fixed rank must be >= 1")
+    def fixed(r: float) -> "RankPolicy":
+        if not 1 <= r <= 2**53 or r != int(r):  # a whole number the float value holds exactly
+            raise ValidationError(f"fixed rank must be a whole number >= 1, got {r!r}")
         return RankPolicy("fixed", float(r))
 
     @staticmethod
@@ -79,7 +79,7 @@ def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
-def _jacobi_orthogonalize(a: np.ndarray, tol: float, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_orthogonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotate column pairs of `a` until all are mutually orthogonal.
 
     Returns (a_rotated, v) with a_rotated == a_input @ v and v orthogonal.
@@ -90,7 +90,7 @@ def _jacobi_orthogonalize(a: np.ndarray, tol: float, max_sweeps: int) -> tuple[n
     if n == 1:
         return a, v
     rounds = _round_robin_rounds(n)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         rotated = 0
         for p, q in rounds:
             ap = a[:, p]
@@ -98,7 +98,7 @@ def _jacobi_orthogonalize(a: np.ndarray, tol: float, max_sweeps: int) -> tuple[n
             alpha = np.einsum("ij,ij->j", ap, ap)
             beta = np.einsum("ij,ij->j", aq, aq)
             gamma = np.einsum("ij,ij->j", ap, aq)
-            need = np.abs(gamma) > tol * np.sqrt(alpha * beta)
+            need = np.abs(gamma) > JACOBI_TOL * np.sqrt(alpha * beta)
             if not need.any():
                 continue
             rotated += int(need.sum())
@@ -134,10 +134,10 @@ def _complete_column(u: np.ndarray, j: int) -> np.ndarray:
     raise ValidationError("could not complete an orthonormal basis")
 
 
-def _svd_tall(w: np.ndarray, tol: float, max_sweeps: int):
+def _svd_tall(w: np.ndarray):
     """Decomposition for m >= n, no sign convention yet."""
     m, n = w.shape
-    rotated, v = _jacobi_orthogonalize(w, tol, max_sweeps)
+    rotated, v = _jacobi_orthogonalize(w)
     norms = np.linalg.norm(rotated, axis=0)
     order = np.argsort(-norms, kind="stable")
     sigma = norms[order]
@@ -161,7 +161,7 @@ def _fix_signs(u: np.ndarray, vt: np.ndarray) -> None:
             vt[j, :] = -vt[j, :]
 
 
-def jacobi_svd_full(w: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS):
+def jacobi_svd_full(w: np.ndarray):
     """Full decomposition w == u @ diag(sigma) @ vt with min(m, n) triplets.
 
     sigma comes back sorted nonincreasing; u columns and vt rows are
@@ -174,9 +174,9 @@ def jacobi_svd_full(w: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JA
         raise ValidationError("decomposition input contains non-finite values")
     m, n = w.shape
     if m >= n:
-        u, sigma, vt = _svd_tall(w, tol, max_sweeps)
+        u, sigma, vt = _svd_tall(w)
     else:
-        ut, sigma, vtt = _svd_tall(w.T.copy(), tol, max_sweeps)
+        ut, sigma, vtt = _svd_tall(w.T.copy())
         u, vt = vtt.T.copy(), ut.T.copy()
     _fix_signs(u, vt)
     return u, sigma, vt
@@ -207,7 +207,7 @@ def _orth_columns(y: np.ndarray) -> np.ndarray:
     return q
 
 
-def _sketched_svd(w: np.ndarray, r: int, tol: float, max_sweeps: int):
+def _sketched_svd(w: np.ndarray, r: int):
     """Randomized range finder + exact Jacobi on the projected matrix.
 
     The Gaussian test matrix comes from a fixed shape-derived seed, so the
@@ -226,7 +226,7 @@ def _sketched_svd(w: np.ndarray, r: int, tol: float, max_sweeps: int):
         q = _orth_columns(w64.T @ q)
         q = _orth_columns(w64 @ q)
     b = q.T @ w64  # (k, n)
-    ub_t, sigma, vtb_t = _svd_tall(b.T.copy(), tol, max_sweeps)
+    ub_t, sigma, vtb_t = _svd_tall(b.T.copy())
     u = q @ vtb_t.T  # (m, k)
     vt = ub_t.T  # (k, n)
     _fix_signs(u, vt)
@@ -248,7 +248,7 @@ def truncated_svd(w: np.ndarray, policy: RankPolicy) -> SvdResult:
         if min_dim >= _SKETCH_MIN_DIM and r <= min_dim // 4:
             if not np.isfinite(w).all():
                 raise ValidationError("decomposition input contains non-finite values")
-            u, sigma, vt = _sketched_svd(w, r, JACOBI_TOL, JACOBI_MAX_SWEEPS)
+            u, sigma, vt = _sketched_svd(w, r)
         else:
             u, sigma, vt = jacobi_svd_full(w)
     else:

@@ -16,10 +16,12 @@ codes, reciprocal smoothing vector, A codes, A scale, B codes, B scales,
 mid requant scale, rotation candidate index. int4 code payloads use the
 two-per-byte nibble layout (low nibble first, zero pad nibble).
 
-Layers are written sorted by name, so write -> read -> write reproduces the
-file byte for byte. The JSON manifest sidecar `<pack>.manifest.json` is
-human-readable provenance; on read its ranks and bit widths are
-cross-checked against the binary payload.
+The magic, the CRC32 trailer, the bounds-checked reads and the atomic write
+are the frame shared with FTZ archives (`archive.seal`, `open_frame`,
+`write_atomic`). Layers are written sorted by name, so write -> read ->
+write reproduces the file byte for byte. The JSON manifest sidecar
+`<pack>.manifest.json` is human-readable provenance; on read its ranks and
+bit widths are cross-checked against the binary payload.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from __future__ import annotations
 import json
 import os
 import struct
-import zlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .archive import Cursor, open_frame, seal, write_atomic
 from .errors import FormatError, ValidationError
 from .kernel import CompiledSkillLayer
 from .quant import PER_CHANNEL, PER_TENSOR, PER_TOKEN, QuantConfig, QuantGrid, ScaleDescriptor, pack_int4, unpack_int4
@@ -161,90 +163,58 @@ def serialize_skillpack(pack: Skillpack) -> bytes:
     task_raw = pack.task_id.encode("utf-8")
     if not task_raw or len(task_raw) > 0xFFFF:
         raise ValidationError("task id must be 1..65535 bytes")
-    chunks = [MAGIC, struct.pack("<H", VERSION), struct.pack("<H", len(task_raw)), task_raw]
-    chunks.append(struct.pack("<I", len(pack.layers)))
-    for name in sorted(pack.layers):
-        chunks.append(_serialize_layer(name, pack.layers[name]))
-    body = b"".join(chunks)
-    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+    chunks = [struct.pack("<HH", VERSION, len(task_raw)), task_raw, struct.pack("<I", len(pack.layers))]
+    chunks += [_serialize_layer(name, pack.layers[name]) for name in sorted(pack.layers)]
+    return seal(MAGIC, chunks)
 
 
 def write_skillpack(pack: Skillpack, path: str | os.PathLike) -> None:
     """Write the container and, when present, the manifest sidecar."""
-    data = serialize_skillpack(pack)
-    spath = os.fspath(path)
-    tmp = spath + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, spath)
+    write_atomic(path, serialize_skillpack(pack))
     if pack.manifest is not None:
-        with open(spath + ".manifest.json", "w", encoding="utf-8") as f:
+        with open(os.fspath(path) + ".manifest.json", "w", encoding="utf-8") as f:
             f.write(pack.manifest.to_json())
 
 
-class _Cursor:
-    def __init__(self, data: bytes, context: str):
-        self.data = data
-        self.pos = 0
-        self.context = context
-
-    @property
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FormatError(f"{self.context}: truncated record")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def tlv(self, expected_tag: int) -> bytes:
-        tag, length = struct.unpack("<HI", self.take(6))
-        if tag != expected_tag:
-            raise FormatError(f"{self.context}: expected tag {expected_tag:#06x}, found {tag:#06x}")
-        return self.take(length)
-
-    def fields(self, expected_tag: int, fmt: str) -> tuple:
-        """A fixed-size TLV payload unpacked with struct format `fmt`."""
-        payload = self.tlv(expected_tag)
-        if len(payload) != struct.calcsize(fmt):
-            raise FormatError(
-                f"{self.context}: tag {expected_tag:#06x} holds {len(payload)} bytes, expected {struct.calcsize(fmt)}"
-            )
-        return struct.unpack(fmt, payload)
+def _header(cur: Cursor, tag: int) -> int:
+    """Check the next field TLV's tag; returns its payload length."""
+    found, length = cur.unpack("<HI")
+    if found != tag:
+        raise FormatError(f"{cur.context}: expected tag {tag:#06x}, found {found:#06x}")
+    return length
 
 
-def _utf8(raw: bytes, context: str) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{context}: name is not valid UTF-8") from exc
+def _fixed(cur: Cursor, tag: int, fmt: str) -> tuple:
+    """A fixed-size field payload unpacked with struct format `fmt`."""
+    length = _header(cur, tag)
+    if length != struct.calcsize(fmt):
+        raise FormatError(f"{cur.context}: tag {tag:#06x} holds {length} bytes, expected {struct.calcsize(fmt)}")
+    return cur.unpack(fmt)
 
 
-def _parse_layer(payload: bytes, context: str) -> tuple[str, CompiledSkillLayer]:
-    cur = _Cursor(payload, context)
-    name = _utf8(cur.tlv(_TAG_NAME), context)
-    c_in, c_out = cur.fields(_TAG_DIMS, "<II")
-    (rank,) = cur.fields(_TAG_RANK, "<I")
-    bits_x, bits_a, bits_b = cur.fields(_TAG_BITS, "<BBB")
-    gran_x_code, gran_b_code = cur.fields(_TAG_GRANS, "<BB")
+def _parse_layer(payload: memoryview, context: str) -> tuple[str, CompiledSkillLayer]:
+    cur = Cursor(payload, context)
+    name = cur.name(_header(cur, _TAG_NAME))
+    c_in, c_out = _fixed(cur, _TAG_DIMS, "<II")
+    (rank,) = _fixed(cur, _TAG_RANK, "<I")
+    bits_x, bits_a, bits_b = _fixed(cur, _TAG_BITS, "<BBB")
+    gran_x_code, gran_b_code = _fixed(cur, _TAG_GRANS, "<BB")
     if gran_x_code not in _GRAN_NAMES or gran_b_code not in _GRAN_NAMES:
         raise FormatError(f"{context}: unknown granularity code")
 
-    smooth_raw = cur.tlv(_TAG_SMOOTH_INV)
+    smooth_raw = cur.take(_header(cur, _TAG_SMOOTH_INV))
     if len(smooth_raw) != 4 * c_in:
         raise FormatError(f"{context}: smoothing vector length mismatch")
     smooth_inv = np.frombuffer(smooth_raw, dtype="<f4").copy()
 
     try:
-        a_codes = _codes_from_payload(cur.tlv(_TAG_A_CODES), bits_a, c_in, rank)
-        (a_scale,) = cur.fields(_TAG_A_SCALE, "<f")
-        b_codes = _codes_from_payload(cur.tlv(_TAG_B_CODES), bits_b, rank, c_out)
+        a_codes = _codes_from_payload(cur.take(_header(cur, _TAG_A_CODES)), bits_a, c_in, rank)
+        (a_scale,) = _fixed(cur, _TAG_A_SCALE, "<f")
+        b_codes = _codes_from_payload(cur.take(_header(cur, _TAG_B_CODES)), bits_b, rank, c_out)
     except ValidationError as exc:  # int4 payload of the wrong size or pad
         raise FormatError(f"{context}: {exc}") from exc
 
-    b_scale_raw = cur.tlv(_TAG_B_SCALES)
+    b_scale_raw = cur.take(_header(cur, _TAG_B_SCALES))
     if not b_scale_raw or (len(b_scale_raw) - 1) % 4:
         raise FormatError(f"{context}: B scale record must be one byte plus float32 values")
     gran_b_stored = b_scale_raw[0]
@@ -256,10 +226,9 @@ def _parse_layer(payload: bytes, context: str) -> tuple[str, CompiledSkillLayer]
     if b_values.size != expected:
         raise FormatError(f"{context}: expected {expected} B scales, found {b_values.size}")
 
-    (mid_scale,) = cur.fields(_TAG_MID_SCALE, "<d")
-    (rotation_index,) = cur.fields(_TAG_ROTATION, "<I")
-    if cur.remaining:
-        raise FormatError(f"{context}: {cur.remaining} unexpected trailing bytes in layer record")
+    (mid_scale,) = _fixed(cur, _TAG_MID_SCALE, "<d")
+    (rotation_index,) = _fixed(cur, _TAG_ROTATION, "<I")
+    cur.end()
 
     try:
         config = QuantConfig(bits_x=bits_x, bits_a=bits_a, bits_b=bits_b, gran_x=_GRAN_NAMES[gran_x_code], gran_b=b_gran)
@@ -281,33 +250,20 @@ def _parse_layer(payload: bytes, context: str) -> tuple[str, CompiledSkillLayer]
 
 
 def read_skillpack(path: str | os.PathLike) -> Skillpack:
-    spath = os.fspath(path)
-    with open(spath, "rb") as f:
-        data = f.read()
-    if len(data) < 12:
-        raise FormatError(f"{spath}: file too short for a skillpack")
-    if data[:4] != MAGIC:
-        raise FormatError(f"{spath}: bad magic {data[:4]!r}")
-    stored_crc = struct.unpack("<I", data[-4:])[0]
-    if stored_crc != (zlib.crc32(data[:-4]) & 0xFFFFFFFF):
-        raise FormatError(f"{spath}: CRC mismatch")
-
-    cur = _Cursor(data[4:-4], spath)
-    (version,) = struct.unpack("<H", cur.take(2))
+    cur = open_frame(path, MAGIC)
+    spath = cur.context
+    version, task_len = cur.unpack("<HH")
     if version != VERSION:
         raise FormatError(f"{spath}: unsupported version {version}")
-    (task_len,) = struct.unpack("<H", cur.take(2))
-    task_id = _utf8(cur.take(task_len), f"{spath} task id")
-    (layer_count,) = struct.unpack("<I", cur.take(4))
+    task_id = cur.name(task_len)
+    (layer_count,) = cur.unpack("<I")
     layers: dict[str, CompiledSkillLayer] = {}
     for i in range(layer_count):
-        payload = cur.tlv(_TAG_LAYER)
-        name, layer = _parse_layer(payload, f"{spath} layer {i}")
+        name, layer = _parse_layer(cur.take(_header(cur, _TAG_LAYER)), f"{spath} layer {i}")
         if name in layers:
             raise FormatError(f"{spath}: duplicate layer name {name!r}")
         layers[name] = layer
-    if cur.remaining:
-        raise FormatError(f"{spath}: {cur.remaining} trailing bytes")
+    cur.end()
 
     manifest = None
     sidecar = spath + ".manifest.json"
@@ -338,10 +294,7 @@ def _cross_check_manifest(manifest: Manifest, layers: dict[str, CompiledSkillLay
             raise FormatError(f"{path}: manifest rank/bits for {name!r} disagree with the payload")
 
 
-def compression_ratio(pack: Skillpack, dense_shapes: dict[str, tuple[int, int]] | None = None) -> float:
+def compression_ratio(pack: Skillpack) -> float:
     """Dense float32 delta bytes divided by serialized skillpack bytes."""
-    if dense_shapes is None:
-        dense_shapes = {name: (layer.c_in, layer.c_out) for name, layer in pack.layers.items()}
-    dense_bytes = sum(4 * ci * co for ci, co in dense_shapes.values())
-    pack_bytes = len(serialize_skillpack(pack))
-    return dense_bytes / pack_bytes
+    dense_bytes = sum(4 * layer.c_in * layer.c_out for layer in pack.layers.values())
+    return dense_bytes / len(serialize_skillpack(pack))

@@ -16,6 +16,7 @@ processing order.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -57,7 +58,7 @@ class PipelineConfig:
         if self.rank_mode == "auto":
             return RankPolicy.default_for(min_dim)
         if self.rank_mode == "fixed":
-            return RankPolicy.fixed(int(self.rank_value))
+            return RankPolicy.fixed(self.rank_value)
         if self.rank_mode == "energy":
             return RankPolicy.energy(self.rank_value)
         raise ValidationError(f"unknown rank mode {self.rank_mode!r}")
@@ -66,16 +67,17 @@ class PipelineConfig:
         return json.dumps(_canonical_body(self), indent=2, sort_keys=True)
 
     @staticmethod
-    def from_json(text: str) -> "PipelineConfig":
+    def from_json(text: str | bytes) -> "PipelineConfig":
         """Parse canonical JSON; missing keys take their defaults.
 
-        Unknown keys, non-objects and leaves of the wrong JSON type raise
+        Unknown keys, non-objects, leaves of the wrong JSON type and numbers
+        beyond the float64 range (NaN and Infinity included) raise
         ValidationError. An int is accepted where a float is expected and
         kept as given, so re-serialization reproduces the input values.
         """
         try:
             body = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, bytes that are not UTF-8, too many digits
             raise ValidationError(f"config is not valid JSON: {exc}") from exc
         fields = _conform(body, _canonical_body(PipelineConfig()), "config")
         rank = fields.pop("rank")
@@ -116,6 +118,8 @@ def _conform(value, template, where: str):
     allowed = (int, float) if type(template) is float else type(template)
     if isinstance(value, bool) != isinstance(template, bool) or not isinstance(value, allowed):
         raise ValidationError(f"{where} must be a JSON {_JSON_KINDS[type(template)]}, got {value!r}")
+    if type(template) is float and not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"{where} must be a finite float64 number, got {value!r}")
     return value
 
 

@@ -1,15 +1,20 @@
-"""Symmetric k-bit static quantizers, int4 packing, GPTQ-style refinement,
-and the 1-bit sign+scale baseline.
+"""The quantization rule, int4 packing, GPTQ-style refinement, and the
+1-bit sign+scale baseline.
 
-Conventions, fixed on purpose:
+The rule, fixed on purpose, lives once in `quantize_codes` and
+`round_half_away`:
 
 * codes live in [-(2^(k-1)-1), 2^(k-1)-1]; the asymmetric extra code is
   never used, which makes quantize(-m) == -quantize(m) hold exactly;
-* rounding is half-away-from-zero;
-* scale = max|group| / (2^(k-1)-1), where a group is the whole tensor,
-  one row (per-token) or one column (per-channel);
-* an all-zero group gets scale 1.0 so downstream scale math never divides
-  by zero and reconstruction of zeros is exact.
+* a group (the whole tensor, a row, a block of rows, a column) gets the
+  float32 scale max|group| / (2^(k-1)-1), or 1.0 when it is all zero; a
+  non-finite peak, or a scale that rounds to 0, is rejected;
+* codes are float64 quotients rounded half away from zero and clamped,
+  never -0.0.
+
+`quantize` builds the A and B grids on it, `kernel` quantizes activations
+per token or per request with it, `kernel.requant_mid` and `gptq_refine`
+round against their own fixed scales with `round_half_away`.
 
 Granularity is constrained by where scales can be applied around an integer
 matmul: activations are per-token or per-tensor (row side), the mid factor
@@ -30,9 +35,17 @@ PER_CHANNEL = "per-channel"
 _GRANULARITIES = (PER_TENSOR, PER_TOKEN, PER_CHANNEL)
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round to nearest with ties away from zero (platform independent)."""
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
+def round_half_away(q: np.ndarray, limit: int) -> int:
+    """Round float64 quotients to codes in place: ties away from zero,
+    clamped to +-limit, no -0.0. Returns how many entries the clamp moved."""
+    codes = np.abs(q)
+    codes += 0.5
+    np.floor(codes, out=codes)
+    clamped = int(np.count_nonzero(codes > limit))
+    np.minimum(codes, limit, out=codes)
+    np.copysign(codes, q, out=q)
+    q += 0.0
+    return clamped
 
 
 @dataclass(frozen=True)
@@ -124,38 +137,51 @@ class QuantConfig:
         return f"X{self.bits_x}A{self.bits_a}B{self.bits_b}"
 
 
-def _group_scales(m: np.ndarray, bits: int, granularity: str) -> np.ndarray:
-    limit = float((1 << (bits - 1)) - 1)
-    if granularity == PER_TENSOR:
-        peak = np.max(np.abs(m), initial=0.0)
-        peak = np.asarray(peak, dtype=np.float64)
-    elif granularity == PER_TOKEN:
-        peak = np.max(np.abs(m), axis=1).astype(np.float64)
+def quantize_codes(
+    m: np.ndarray, bits: int, granularity: str, row_blocks: list[int] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 codes of a finite 2-D matrix and its float32 group scales.
+
+    The scales come back shaped to broadcast against `m`: () per tensor,
+    (rows, 1) per token, (1, cols) per channel. Per tensor with
+    `row_blocks`, each block of rows is its own tensor and the scales are
+    (rows, 1), repeated over the block.
+    """
+    if m.ndim != 2:
+        raise ShapeError("quantize expects a 2-D matrix")
+    if bits not in (4, 8):
+        raise ValidationError(f"bits must be 4 or 8, got {bits}")
+    if granularity == PER_TENSOR and row_blocks is None:
+        peaks = np.max(np.abs(m), initial=0.0)
     elif granularity == PER_CHANNEL:
-        peak = np.max(np.abs(m), axis=0).astype(np.float64)
+        peaks = np.max(np.abs(m), axis=0, keepdims=True, initial=0.0)
+    elif granularity in (PER_TOKEN, PER_TENSOR):
+        peaks = np.max(np.abs(m), axis=1, keepdims=True, initial=0.0)
+        if granularity == PER_TENSOR:
+            if sum(row_blocks) != m.shape[0]:
+                raise ShapeError("row blocks must sum to the token count")
+            sizes = np.array([n for n in row_blocks if n], dtype=np.intp)
+            if sizes.size:
+                peaks = np.repeat(np.maximum.reduceat(peaks, np.cumsum(sizes) - sizes), sizes, axis=0)
     else:
         raise ValidationError(f"unknown granularity {granularity!r}")
-    scales = peak / limit
-    scales = np.where(scales == 0.0, 1.0, scales)  # all-zero group rule
-    return scales.astype(np.float32)
+    if not np.isfinite(peaks).all():
+        raise ValidationError("quantize input contains non-finite values")
+    limit = (1 << (bits - 1)) - 1
+    scales = peaks.astype(np.float64) / limit
+    scales = np.where(scales == 0.0, 1.0, scales).astype(np.float32)  # all-zero group rule
+    if not (scales > 0).all():  # a subnormal peak
+        raise ValidationError("scales must be positive and finite")
+    codes = m / scales.astype(np.float64)
+    round_half_away(codes, limit)
+    return codes, scales
 
 
 def quantize(m: np.ndarray, bits: int, granularity: str) -> QuantGrid:
     """Symmetric static quantization of a finite float32 matrix."""
-    if m.ndim != 2:
-        raise ShapeError("quantize expects a 2-D matrix")
-    if not np.isfinite(m).all():
-        raise ValidationError("quantize input contains non-finite values")
-    if bits not in (4, 8):
-        raise ValidationError(f"bits must be 4 or 8, got {bits}")
-    scales = _group_scales(m, bits, granularity)
-    desc = ScaleDescriptor(granularity, scales)
-    row_s, col_s = desc.row_col_vectors(*m.shape)
-    denom = row_s.astype(np.float64)[:, None] * col_s.astype(np.float64)[None, :]
-    limit = (1 << (bits - 1)) - 1
-    codes = round_half_away(m.astype(np.float64) / denom)
-    codes = np.clip(codes, -limit, limit).astype(np.int8)
-    return QuantGrid(codes, bits, desc)
+    codes, scales = quantize_codes(m, bits, granularity, None)
+    scales = scales.reshape(-1) if scales.ndim else scales
+    return QuantGrid(codes.astype(np.int8), bits, ScaleDescriptor(granularity, scales))
 
 
 def dequantize(q: QuantGrid) -> np.ndarray:
@@ -219,14 +245,13 @@ def gptq_refine(b_init: QuantGrid, b_fp: np.ndarray, hessian: np.ndarray) -> Qua
     scale_grid = row_s.astype(np.float64)[:, None] * col_s.astype(np.float64)[None, :]
     limit = (1 << (b_init.bits - 1)) - 1
 
-    work = b_fp.astype(np.float64).copy()
+    work = b_fp.astype(np.float64)
     codes = np.zeros((r, c_out), dtype=np.int8)
     for j in range(r):
-        cj = round_half_away(work[j] / scale_grid[j])
-        cj = np.clip(cj, -limit, limit)
-        codes[j] = cj.astype(np.int8)
-        deq = cj * scale_grid[j]
-        err = (work[j] - deq) / upper[j, j]
+        cj = work[j] / scale_grid[j]
+        round_half_away(cj, limit)
+        codes[j] = cj
+        err = (work[j] - cj * scale_grid[j]) / upper[j, j]
         if j + 1 < r:
             work[j + 1 :] -= np.outer(upper[j, j + 1 :], err)
     return QuantGrid(codes, b_init.bits, desc)

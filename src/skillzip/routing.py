@@ -138,19 +138,19 @@ def dispatch_sequential(batch: Batch, registry: SkillRegistry) -> list[np.ndarra
 # Offline request stream: JSON lines in, FTZ archive keyed by index out.
 
 
-def load_request_stream(path: str | os.PathLike, base_dir: str | os.PathLike | None = None) -> Batch:
+def load_request_stream(path: str | os.PathLike) -> Batch:
     """Parse a JSON-lines request stream.
 
     Each line is {"task": <label>, "x": <payload>} where the payload is
     either inline row data (a list of rows or one flat row) or a string
     "<archive>::<entry>" naming an FTZ entry. Relative archive paths
-    resolve against `base_dir` (default: the stream's directory).
+    resolve against the stream's directory.
     """
     spath = os.fspath(path)
-    root = os.fspath(base_dir) if base_dir is not None else os.path.dirname(os.path.abspath(spath))
+    root = os.path.dirname(os.path.abspath(spath))
     requests: list[ForwardRequest] = []
     entry_cache: dict[str, dict[str, np.ndarray]] = {}
-    with open(spath, "r", encoding="utf-8") as f:
+    with open(spath, "rb") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
@@ -159,7 +159,7 @@ def load_request_stream(path: str | os.PathLike, base_dir: str | os.PathLike | N
                 body = json.loads(line)
                 task = body["task"]
                 payload = body["x"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON or UTF-8
                 raise ValidationError(f"{spath}:{lineno}: malformed request line ({exc})") from exc
             if isinstance(payload, str):
                 if "::" not in payload:
@@ -168,14 +168,17 @@ def load_request_stream(path: str | os.PathLike, base_dir: str | os.PathLike | N
                 if not os.path.isabs(archive_path):
                     archive_path = os.path.join(root, archive_path)
                 if archive_path not in entry_cache:
-                    entry_cache[archive_path] = dict(archive.read_archive(archive_path))
+                    try:
+                        entry_cache[archive_path] = dict(archive.read_archive(archive_path))
+                    except ValueError as exc:  # a path open() refuses, such as one with a NUL
+                        raise ValidationError(f"{spath}:{lineno}: bad archive path ({exc})") from exc
                 if entry not in entry_cache[archive_path]:
                     raise ValidationError(f"{spath}:{lineno}: no entry {entry!r} in {archive_path}")
                 x = entry_cache[archive_path][entry]
             else:
                 try:
                     arr = np.asarray(payload, dtype=np.float32)
-                except (ValueError, TypeError) as exc:
+                except (ValueError, TypeError, OverflowError) as exc:
                     raise ValidationError(f"{spath}:{lineno}: bad inline row data ({exc})") from exc
                 if arr.ndim == 1:
                     arr = arr.reshape(1, -1)

@@ -74,6 +74,23 @@ def test_nonfinite_rejected_on_read(tmp_path):
         read_archive(path)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.zeros((0, 3), dtype=np.float32),
+        np.zeros((2, 0), dtype=np.float32),
+        np.array([[1.0, np.nan]], dtype=np.float32),
+        np.array([[-np.inf]], dtype=np.float32),
+    ],
+    ids=["no-rows", "no-cols", "nan", "inf"],
+)
+def test_writer_rejects_what_the_reader_rejects(tmp_path, m):
+    path = tmp_path / "w.ftz"
+    with pytest.raises(ValidationError, match="empty shape|non-finite"):
+        write_archive(path, [("ok", np.ones((1, 1), dtype=np.float32)), ("w", m)])
+    assert not path.exists() and not (tmp_path / "w.ftz.tmp").exists()
+
+
 def test_name_length_limit(tmp_path):
     m = np.ones((1, 1), dtype=np.float32)
     with pytest.raises(ValidationError):

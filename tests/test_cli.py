@@ -5,12 +5,15 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from skillzip import QuantConfig, Skillpack, compile_layer, read_archive, read_skillpack
 from skillzip.cli import main
 from skillzip.packio import serialize_skillpack
 from skillzip.pipeline import PipelineConfig
 from skillzip.prng import Prng
+from mutate import HOSTILE_VALUES, byte_ops, leaf_paths, mutate_bytes, substitute
 
 
 @pytest.fixture()
@@ -334,3 +337,114 @@ def test_malformed_manifest_exit_code(fixture_dir, tmp_path, capsys, sidecar):
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "manifest" in err and "Traceback" not in err
+@pytest.mark.parametrize("value", ["Infinity", "NaN"])
+def test_non_finite_fixed_rank_exit_code(fixture_dir, tmp_path, capsys, value):
+    config = tmp_path / "rank.json"
+    config.write_text(f'{{"rank": {{"mode": "fixed", "value": {value}}}}}')
+    rc = main(
+        [
+            "compress",
+            "--config", str(config),
+            "--base", str(fixture_dir / "base.ftz"),
+            "--tuned", str(fixture_dir / "math.ftz"),
+            "--calib", str(fixture_dir / "calib.ftz"),
+            "--out", str(tmp_path / "packs"),
+        ]
+    )
+    assert rc == 2
+    assert "config.rank.value" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tiny_suite(tmp_path_factory):
+    """A 16x16 two-task fixture set, its compressed packs, and the compress
+    and bench command lines that use them."""
+    root = tmp_path_factory.mktemp("tiny")
+    gen = ["gen-synth", "--out", str(root), "--seed", "2", "--tasks", "2", "--channels", "16", "--tokens", "8"]
+    assert main(gen + ["--outliers", "2"]) == 0
+    args = ["--base", str(root / "base.ftz"), "--tuned", str(root / "math.ftz"), "--tuned", str(root / "code.ftz")]
+    compress_argv = ["compress", *args, "--calib", str(root / "calib.ftz")]
+    assert main(compress_argv + ["--out", str(root / "packs")]) == 0
+    packs = ["--pack", str(root / "packs" / "math.skz"), "--pack", str(root / "packs" / "code.skz")]
+    bench_argv = ["bench", "--backbone", str(root / "packs" / "backbone.ftz"), *packs, "--repeats", "1"]
+    return {"root": root, "compress": compress_argv, "bench": bench_argv}
+
+
+@pytest.mark.parametrize("repeats", ["0", "-3"])
+def test_bench_repeats_exit_code(tiny_suite, tmp_path, capsys, repeats):
+    """Rejected before any dispatch, so no outputs are written either."""
+    stream = tmp_path / "s.jsonl"
+    stream.write_text(json.dumps({"task": "math", "x": [[0.0] * 16]}) + "\n")
+    out = tmp_path / "outputs.ftz"
+    argv = tiny_suite["bench"] + ["--stream", str(stream), "--out", str(out), "--repeats", repeats]
+    assert main(argv) == 2
+    assert "--repeats" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_synth_zero_tokens_exit_code(tmp_path, capsys):
+    """The FTZ writer refuses the 0-row calibration archive that every later
+    command would reject."""
+    out = tmp_path / "f"
+    assert main(["gen-synth", "--out", str(out), "--channels", "16", "--tokens", "0"]) == 2
+    assert "empty shape" in capsys.readouterr().err
+    assert not (out / "calib.ftz").exists() and not (out / "eval.ftz").exists()
+
+
+# A huge candidate count is valid and only slow, so it is not substituted.
+_CLI_CONFIG = json.loads(PipelineConfig(rank_mode="fixed", rank_value=2, n_candidates=2).to_canonical_json())
+_CLI_LEAVES = sorted(path for path in leaf_paths(_CLI_CONFIG) if path != ("n_candidates",))
+
+
+# capsys is read and cleared in every example.
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    mutation=st.one_of(
+        st.tuples(st.just("substitute"), st.sampled_from(_CLI_LEAVES), st.sampled_from(HOSTILE_VALUES)), byte_ops
+    )
+)
+@example(mutation=("substitute", ("rank", "value"), float("inf")))
+@example(mutation=("substitute", ("rank", "value"), 10**400))
+@example(mutation=("flip", 0.5, b"\x80"))
+def test_compress_mutated_config_exit_code(tiny_suite, tmp_path_factory, capsys, mutation):
+    op, where, what = mutation
+    if op == "substitute":
+        data = substitute(_CLI_CONFIG, where, what).encode()
+    else:
+        data = mutate_bytes(json.dumps(_CLI_CONFIG).encode(), op, where, what)
+    work = tmp_path_factory.mktemp("cfg")
+    (work / "cfg.json").write_bytes(data)
+    rc = main(tiny_suite["compress"] + ["--config", str(work / "cfg.json"), "--out", str(work / "packs")])
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_CLI_STREAM = [{"task": "math", "x": [[0.5] * 16, [0.25] * 16]}, {"task": "code", "x": [1.0] * 16}]
+
+
+# capsys is read and cleared in every example.
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    mutation=st.one_of(
+        st.tuples(st.just("substitute"), st.sampled_from([(i, k) for i in range(2) for k in ("task", "x")]),
+                  st.sampled_from(HOSTILE_VALUES + ["calib.ftz::layer0", "nope.ftz::layer0"])),
+        byte_ops,
+    )
+)
+@example(mutation=("flip", 0.1, b"\x80"))
+@example(mutation=("substitute", (1, "x"), 10**400))
+def test_bench_mutated_stream_exit_code(tiny_suite, capsys, mutation):
+    op, where, what = mutation
+    lines = [json.dumps(line) for line in _CLI_STREAM]
+    if op == "substitute":
+        lines[where[0]] = substitute(_CLI_STREAM[where[0]], where[1:], what)
+    data = "\n".join(lines).encode()
+    if op != "substitute":
+        data = mutate_bytes(data, op, where, what)
+    stream = tiny_suite["root"] / "stream.jsonl"  # next to calib.ftz, which substituted references name
+    stream.write_bytes(data)
+    rc = main(tiny_suite["bench"] + ["--stream", str(stream)])
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+

@@ -21,11 +21,12 @@ from skillzip import (
 )
 from skillzip import kernel
 from skillzip.fixtures import outlier_activations
-from skillzip.kernel import MAX_CONTRACTION, calibrate_mid_scale, quantize_activations
-from skillzip.quant import PER_TENSOR, PER_TOKEN, round_half_away
+from skillzip.kernel import MAX_CONTRACTION, calibrate_mid_scale
+from skillzip.quant import PER_CHANNEL, PER_TENSOR, PER_TOKEN, quantize_codes, round_half_away
 from skillzip.prng import Prng
 from skillzip.tensors import fro_norm, matmul
 from exact_case import build_exact_case
+import quant_reference as ref
 
 
 def _grid(values, bits=8, gran="per-tensor", scale=1.0):
@@ -223,6 +224,23 @@ def test_int4_activation_configs():
         assert fro_norm(oracle - out) <= 0.5 * fro_norm(oracle), config.tag()
 
 
+def test_layer_config_must_agree_with_grids():
+    """A config whose bits_a/bits_b/gran_b disagree with the A and B grids
+    would serialize a pack its own reader rejects."""
+    rng = Prng(88)
+    a, b = rng.uniform_matrix(8, 3, -1, 1), rng.uniform_matrix(3, 5, -1, 1)
+    layer = compile_layer("l", np.ones(8, dtype=np.float32), a, b, QuantConfig(bits_b=4), mid_scale=1.0)
+    for config in (
+        QuantConfig(bits_b=8, gran_b="per-tensor"),
+        QuantConfig(bits_b=8),
+        QuantConfig(bits_b=4, gran_b="per-tensor"),
+        QuantConfig(bits_a=4, bits_b=4),
+    ):
+        with pytest.raises(ValidationError, match="disagree"):
+            CompiledSkillLayer("l", layer.smooth_inv, layer.a_hat, layer.b_hat, 1.0, config)
+    CompiledSkillLayer("l", layer.smooth_inv, layer.a_hat, layer.b_hat, 1.0, QuantConfig(bits_x=4, bits_b=4))
+
+
 def test_compile_requires_calibration_or_mid():
     a = np.ones((4, 2), dtype=np.float32)
     b = np.ones((2, 4), dtype=np.float32)
@@ -235,32 +253,33 @@ def test_calibrate_mid_scale_zero_acc():
 
 
 # ---------------------------------------------------------------------------
-# The activation quantizer of the forward path against quant.quantize
+# The quantization rule (quant.quantize_codes, and quantize on top of it)
+# against the frozen reference quantizer
 
 
 def _assert_matches_quantize(x, bits, gran, blocks=None):
-    """Codes and per-row scales of quantize_activations equal quantize on
-    each group (a row, or a row block for per-tensor) bit for bit."""
-    codes, scales = quantize_activations(x, bits, gran, blocks)
-    assert codes.dtype == np.float64 and scales.dtype == np.float64
+    """Codes and scales of quantize_codes, and the grid of quantize, equal
+    the reference on each group (a row or column, or a row block for
+    per-tensor) bit for bit."""
+    codes, scales = quantize_codes(x, bits, gran, blocks)
+    assert codes.dtype == np.float64 and scales.dtype == np.float32
+    assert codes.shape == x.shape
     assert not np.signbit(codes[codes == 0]).any()
-    if gran == PER_TOKEN:
-        groups = [(0, x.shape[0])]
-    else:
-        sizes = blocks if blocks is not None else [x.shape[0]]
-        starts = np.cumsum([0] + sizes)
-        groups = list(zip(starts[:-1], starts[1:]))
-    for lo, hi in groups:
-        ref = quantize(x[lo:hi], bits, gran)
-        assert codes[lo:hi].astype(np.int8).tobytes() == ref.codes.tobytes()
-        assert np.array_equal(codes[lo:hi], ref.codes)
-        row_scales = np.broadcast_to(ref.scale.scales, (hi - lo,))
-        assert scales[lo:hi].astype(np.float32).tobytes() == row_scales.tobytes()
-        assert np.array_equal(scales[lo:hi], row_scales.astype(np.float64))
+    grid = np.broadcast_to(scales, x.shape)
+    sizes = blocks if gran == PER_TENSOR and blocks is not None else [x.shape[0]]
+    starts = np.cumsum([0] + sizes)
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        want_codes, want_scales = ref.quantize(x[lo:hi], bits, gran)
+        assert codes[lo:hi].astype(np.int8).tobytes() == want_codes.tobytes()
+        assert np.array_equal(codes[lo:hi], want_codes)
+        assert grid[lo:hi].tobytes() == ref.scale_grid(gran, want_scales, hi - lo, x.shape[1]).tobytes()
+        q = quantize(x[lo:hi], bits, gran)
+        assert q.codes.tobytes() == want_codes.tobytes()
+        assert q.scale.scales.tobytes() == want_scales.tobytes()
 
 
-# Subnormal peaks give a zero float32 scale, which both quantizers reject
-# (tested below); map them to 0.
+# Subnormal peaks give a zero float32 scale, which the rule rejects (tested
+# below); map them to 0.
 _finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False).map(lambda v: v if abs(v) >= 2.0**-126 else 0.0)
 
 
@@ -272,8 +291,11 @@ _finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False).map(lambd
     values=st.lists(_finite32, min_size=54, max_size=54),
 )
 def test_quantize_activations_per_token_property(rows, cols, bits, values):
+    """Per token, and on the same matrices per channel and per tensor (the
+    weight granularities)."""
     x = np.array(values[: rows * cols], dtype=np.float32).reshape(rows, cols)
-    _assert_matches_quantize(x, bits, PER_TOKEN)
+    for gran in (PER_TOKEN, PER_CHANNEL, PER_TENSOR):
+        _assert_matches_quantize(x, bits, gran)
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,14 +319,30 @@ def test_quantize_activations_per_tensor_blocks_property(blocks, cols, bits, mag
         start += size
     _assert_matches_quantize(x, bits, PER_TENSOR, blocks)
     _assert_matches_quantize(x, bits, PER_TENSOR)
+    _assert_matches_quantize(x, bits, PER_TOKEN, blocks)  # blocks do not regroup per-token
 
 
 @pytest.mark.parametrize("bits", [4, 8])
-@pytest.mark.parametrize("gran", [PER_TOKEN, PER_TENSOR])
+@pytest.mark.parametrize("gran", [PER_TOKEN, PER_TENSOR, PER_CHANNEL])
 def test_quantize_activations_outlier_inputs(bits, gran):
     for seed in range(4):
         x = outlier_activations(Prng(950 + seed), 12, 40, 15.0, [3, 17, 29], 100.0)
         _assert_matches_quantize(x, bits, gran, [5, 1, 6] if gran == PER_TENSOR else None)
+
+
+@pytest.mark.parametrize("bits", [4, 8])
+@pytest.mark.parametrize("gran", [PER_TENSOR, PER_CHANNEL])
+def test_quantize_weights_match_reference(bits, gran):
+    """Low-rank factor shapes (tall A, wide B), smooth and with outlier rows
+    or columns, at both weight bit widths."""
+    for seed in range(4):
+        rng = Prng(970 + seed)
+        a = rng.uniform_matrix(48, 6, -0.4, 0.4)
+        b = rng.gauss_matrix(6, 40)
+        a[seed * 7] *= np.float32(50.0)
+        b[:, seed * 5] *= np.float32(50.0)
+        for m in (a, b, -b):
+            _assert_matches_quantize(m, bits, gran)
 
 
 @pytest.mark.parametrize("bits", [4, 8])
@@ -316,11 +354,12 @@ def test_quantize_activations_exact_ties(bits, gran):
     k = np.arange(limit, dtype=np.float32)
     row = np.concatenate([[limit], k + 0.5, -(k + 0.5)]).astype(np.float32) * scale
     x = np.stack([row, -row])
-    codes, scales = quantize_activations(x, bits, gran)
-    assert np.array_equal(scales, np.full(2, float(scale)))
+    codes, scales = quantize_codes(x, bits, gran, None)
+    assert np.array_equal(np.broadcast_to(scales, (2, 1)).ravel(), np.full(2, scale))
     want = np.concatenate([[limit], k + 1, -(k + 1)])
     assert np.array_equal(codes, np.stack([want, -want]))
     _assert_matches_quantize(x, bits, gran)
+    _assert_matches_quantize(x.T.copy(), bits, PER_CHANNEL)
 
 
 @pytest.mark.parametrize("bits", [4, 8])
@@ -336,30 +375,56 @@ def test_quantize_activations_near_ties(bits):
     x = np.stack(rows)
     _assert_matches_quantize(x, bits, PER_TOKEN)
     _assert_matches_quantize(-x, bits, PER_TENSOR, [1] * x.shape[0])
+    _assert_matches_quantize(x.T.copy(), bits, PER_CHANNEL)
 
 
 @pytest.mark.parametrize("gran", [PER_TOKEN, PER_TENSOR])
 def test_quantize_activations_all_zero_rows(gran):
     x = np.zeros((3, 5), dtype=np.float32)
     x[1] = [0.5, -1.0, 0.0, 2.0, -0.25]
-    codes, scales = quantize_activations(x, 8, gran, [1, 1, 1] if gran == PER_TENSOR else None)
-    assert scales[0] == scales[2] == 1.0
+    codes, scales = quantize_codes(x, 8, gran, [1, 1, 1] if gran == PER_TENSOR else None)
+    assert scales[0, 0] == scales[2, 0] == 1.0
     assert not codes[[0, 2]].any()
     _assert_matches_quantize(x, 8, gran, [1, 1, 1] if gran == PER_TENSOR else None)
+    _assert_matches_quantize(x.T.copy(), 8, PER_CHANNEL)
+    _assert_matches_quantize(np.zeros((2, 3), dtype=np.float32), 8, gran)
 
 
 def test_quantize_activations_rejects_non_finite_and_bad_blocks():
     x = np.ones((2, 3), dtype=np.float32)
     x[1, 2] = np.inf
-    with pytest.raises(ValidationError, match="non-finite"):
-        quantize_activations(x, 8, PER_TOKEN)
+    for gran in (PER_TOKEN, PER_TENSOR, PER_CHANNEL):
+        with pytest.raises(ValidationError, match="non-finite"):
+            quantize_codes(x, 8, gran, None)
+        with pytest.raises(ValidationError, match="non-finite"):
+            quantize(x, 8, gran)
     with pytest.raises(ShapeError):
-        quantize_activations(np.ones((3, 2), dtype=np.float32), 8, PER_TENSOR, [1, 1])
+        quantize_codes(np.ones((3, 2), dtype=np.float32), 8, PER_TENSOR, [1, 1])
     # A subnormal peak gives a scale that rounds to 0 in float32.
     tiny = np.full((1, 2), 1e-45, dtype=np.float32)
-    for quantizer in (lambda: quantize(tiny, 8, PER_TOKEN), lambda: quantize_activations(tiny, 8, PER_TOKEN)):
+    for quantizer in (lambda: quantize(tiny, 8, PER_TOKEN), lambda: quantize_codes(tiny, 8, PER_TOKEN, None)):
         with pytest.raises(ValidationError, match="positive and finite"):
             quantizer()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 5),
+    cols=st.integers(1, 6),
+    mid_scale=st.sampled_from([0.3, 1.0, 4.0, 17.5, 1e3]),
+    halves=st.lists(st.integers(-600, 600), min_size=30, max_size=30),
+)
+def test_requant_matches_reference(rows, cols, mid_scale, halves):
+    """Mid requant codes and the saturation count (what forward_quantized
+    reports), on exact ties (k/2 times the scale) and past the clamp, equal
+    the reference."""
+    acc = np.array(halves[: rows * cols], dtype=np.float64).reshape(rows, cols) * (mid_scale / 2)
+    want, want_sat = ref.requant(acc, mid_scale)
+    codes = acc / mid_scale
+    assert round_half_away(codes, 127) == want_sat
+    assert np.array_equal(codes, want)
+    assert not np.signbit(codes[codes == 0]).any()
+    assert requant_mid(acc, mid_scale).codes.tobytes() == want.astype(np.int8).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +454,7 @@ def test_gemm_exact_at_max_contraction(bits):
     mid_scale = float(np.abs(want).max()) / 127.0
     mid = requant_mid(got, mid_scale)
     assert mid.codes.dtype == np.int8
-    assert np.array_equal(mid.codes, round_half_away(want / mid_scale))
+    assert np.array_equal(mid.codes, ref.round_half_away(want / mid_scale))
 
 
 def _max_contraction_layer(c_in):

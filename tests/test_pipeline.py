@@ -1,12 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skillzip import MergePlan, QuantConfig, ValidationError
 from skillzip.evaluate import eval_pack, total_delta_error
 from skillzip.fixtures import make_suite
 from skillzip.packio import serialize_skillpack
 from skillzip.pipeline import PipelineConfig, Toggles, compress
+from mutate import HOSTILE_VALUES, byte_ops, leaf_paths, mutate_bytes, substitute
 
 
 def _small_suite(seed=0, **kw):
@@ -189,3 +194,51 @@ def test_config_partial_body_takes_defaults_and_keeps_ints():
     text = config.to_canonical_json()
     assert '"tau": 0\n' in text and '"value": 12\n' in text
     assert PipelineConfig.from_json(text).to_canonical_json() == text
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["Infinity", "-Infinity", "NaN", "1e400", "0", "-2", "2.5", "1" + "0" * 400],
+    ids=["inf", "-inf", "nan", "1e400", "zero", "negative", "fraction", "huge-int"],
+)
+def test_fixed_rank_must_be_a_finite_whole_number(value):
+    """A fixed rank is a finite whole number >= 1; anything else is a
+    ValidationError from from_json or rank_policy."""
+    with pytest.raises(ValidationError):
+        PipelineConfig.from_json(f'{{"rank": {{"mode": "fixed", "value": {value}}}}}').rank_policy(16)
+    for rank in (float("inf"), float("nan"), 0, 2.5, 10**400):
+        with pytest.raises(ValidationError):
+            replace(PipelineConfig(), rank_mode="fixed", rank_value=rank).rank_policy(16)
+    assert PipelineConfig.from_json('{"rank": {"mode": "fixed", "value": 16.0}}').rank_policy(16).value == 16
+
+
+_CONFIG = json.loads(PipelineConfig(rank_mode="fixed", rank_value=4, n_candidates=2).to_canonical_json())
+_CONFIG_LEAVES = sorted(leaf_paths(_CONFIG))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mutation=st.one_of(
+        st.tuples(st.just("substitute"), st.sampled_from(_CONFIG_LEAVES), st.sampled_from(HOSTILE_VALUES)),
+        st.tuples(st.just("unknown-key"), st.sampled_from([(), ("quant",), ("rank",)]), st.text(max_size=4)),
+        byte_ops,
+    )
+)
+@example(mutation=("substitute", ("rank", "value"), float("inf")))
+@example(mutation=("substitute", ("rank", "value"), float("nan")))
+@example(mutation=("substitute", ("merge", "coefficient"), 10**400))
+def test_mutated_config_raises_validation_error_only(mutation):
+    """Substituted leaves, unknown keys, byte flips, truncation and
+    insertion: parsing plus the rank policy either succeed or raise
+    ValidationError."""
+    op, where, what = mutation
+    if op == "substitute":
+        text = substitute(_CONFIG, where, what).encode()
+    elif op == "unknown-key":
+        text = substitute(_CONFIG, where + ("?" + what,), 1).encode()
+    else:
+        text = mutate_bytes(json.dumps(_CONFIG).encode(), op, where, what)
+    try:
+        PipelineConfig.from_json(text).rank_policy(16)
+    except ValidationError:
+        pass

@@ -17,6 +17,7 @@ from skillzip import (
 from skillzip.prng import Prng
 from skillzip.quant import calibration_hessian
 from skillzip.tensors import fro_norm
+import quant_reference as ref
 
 
 def test_per_tensor_int8_scalar_oracle():
@@ -200,6 +201,25 @@ def test_gptq_beats_rtn_on_correlated_calibration():
         if err_gptq <= err_rtn:
             wins += 1
     assert wins >= int(0.9 * trials), f"GPTQ won only {wins}/{trials}"
+
+
+@pytest.mark.parametrize("bits", [4, 8])
+@pytest.mark.parametrize("gran", ["per-tensor", "per-channel"])
+def test_gptq_matches_reference(bits, gran):
+    """Error-feedback codes equal the reference loop bit for bit, with
+    correlated Hessians that push slices past the clamp and exact-zero
+    (including -0.0) entries."""
+    for seed in range(6):
+        rng = Prng(1100 + seed)
+        m = rng.gauss_matrix(30, 7).astype(np.float64) @ (np.eye(7) + 0.8 * np.ones((7, 7)))
+        b = rng.uniform_matrix(7, 12, -1.0, 1.0)
+        b[seed, :3] = [0.0, -0.0, 0.0]
+        h = calibration_hessian(m)
+        init = quantize(b, bits, gran)
+        refined = gptq_refine(init, b, h)
+        want = ref.gptq_codes(gran, init.scale.scales, bits, b, h)
+        assert refined.codes.tobytes() == want.tobytes()
+        assert refined.scale is init.scale
 
 
 def test_calibration_hessian_spd_and_damped():

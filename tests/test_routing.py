@@ -11,6 +11,7 @@ from skillzip import (
     ShapeError,
     Skillpack,
     SkillRegistry,
+    FormatError,
     ValidationError,
     compile_layer,
     dispatch_batch,
@@ -20,6 +21,9 @@ from skillzip import (
 )
 from skillzip.prng import Prng
 from skillzip.routing import load_request_stream, write_outputs
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mutate import HOSTILE_VALUES, byte_ops, mutate_bytes, substitute
 from skillzip.tensors import fro_norm
 
 
@@ -328,3 +332,46 @@ def test_smoothed_overflow_rejected_in_both_paths():
     for dispatch in (dispatch_batch, dispatch_sequential):
         with pytest.raises(ValidationError, match="non-finite"):
             dispatch(batch, reg)
+
+
+_STREAM = [
+    {"task": "math", "x": [[0.5] * C_IN, [0.25] * C_IN]},
+    {"task": "code", "x": [1.0] * C_IN},
+    {"task": "chat", "x": "acts.ftz::req0"},
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mutation=st.one_of(
+        st.tuples(st.just("substitute"), st.sampled_from([(i, k) for i in range(3) for k in ("task", "x")]),
+                  st.sampled_from(HOSTILE_VALUES + ["acts.ftz::nope", "missing.ftz::req0", "requests.jsonl::x"])),
+        st.tuples(st.just("line"), st.integers(0, 2), st.sampled_from([[], 1, "s", None, {"task": "math"}])),
+        byte_ops,
+    )
+)
+@example(mutation=("flip", 0.1, b"\x80"))
+@example(mutation=("substitute", (1, "x"), 10**400))
+@example(mutation=("substitute", (2, "x"), "a.ftz::\u0000"))
+def test_mutated_stream_raises_package_errors_only(tmp_path_factory, mutation):
+    """Substituted values, non-object lines, byte flips, truncation and
+    insertion: the stream either loads or raises ValidationError or
+    FormatError; OSError only for an archive that cannot be opened."""
+    root = tmp_path_factory.mktemp("stream")
+    write_archive(root / "acts.ftz", [("req0", np.ones((2, C_IN), dtype=np.float32))])
+    op, where, what = mutation
+    lines = [json.dumps(line) for line in _STREAM]
+    if op == "substitute":
+        lines[where[0]] = substitute(_STREAM[where[0]], where[1:], what)
+    elif op == "line":
+        lines[where] = json.dumps(what)
+    data = "\n".join(lines).encode()
+    if op not in ("substitute", "line"):
+        data = mutate_bytes(data, op, where, what)
+    (root / "requests.jsonl").write_bytes(data)
+    try:
+        load_request_stream(root / "requests.jsonl")
+    except (ValidationError, FormatError):
+        pass
+    except OSError:  # the stream exists, so this is a referenced archive that cannot be opened
+        pass
