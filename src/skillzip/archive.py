@@ -96,7 +96,7 @@ def open_frame(path: str | os.PathLike, magic: bytes) -> Cursor:
     return Cursor(memoryview(data)[len(magic) : -4], spath)
 
 
-def _validate_entries(entries: list[tuple[str, np.ndarray]]) -> None:
+def validate_entries(entries: list[tuple[str, np.ndarray]]) -> None:
     seen: set[str] = set()
     for name, m in entries:
         raw = name.encode("utf-8")
@@ -114,7 +114,7 @@ def _validate_entries(entries: list[tuple[str, np.ndarray]]) -> None:
 
 
 def write_archive(path: str | os.PathLike, entries: list[tuple[str, np.ndarray]]) -> None:
-    _validate_entries(entries)
+    validate_entries(entries)
     chunks = [struct.pack("<I", len(entries))]
     for name, m in entries:
         raw = name.encode("utf-8")

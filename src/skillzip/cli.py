@@ -57,8 +57,11 @@ def cmd_gen_synth(args) -> int:
         outlier_channels=args.outliers,
         outlier_ratio=args.ratio,
     )
+    files = [("base", suite.base), *suite.tuned.items(), ("calib", suite.calib), ("eval", suite.eval_x)]
+    for _, entries in files:  # a refused input writes nothing
+        archive.validate_entries(sorted(entries.items()))
     os.makedirs(args.out, exist_ok=True)
-    for stem, entries in [("base", suite.base), *suite.tuned.items(), ("calib", suite.calib), ("eval", suite.eval_x)]:
+    for stem, entries in files:
         archive.write_archive(os.path.join(args.out, f"{stem}.ftz"), sorted(entries.items()))
     print(f"wrote base, {len(suite.tuned)} tuned sets, calib, eval under {args.out}")
     return 0
@@ -244,10 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except SkillzipError as exc:

@@ -47,6 +47,7 @@ from .quant import (
     calibration_hessian,
     gptq_refine,
     quantize,
+    count_clamped,
     quantize_codes,
     round_half_away,
 )
@@ -152,12 +153,11 @@ def forward_quantized(
 
     acc1 = _gemm(x_codes, layer.a_hat.codes.astype(np.float64))
     mid_codes = acc1 / layer.mid_scale
-    mid_sat = round_half_away(mid_codes, 127)
-    acc2 = _gemm(mid_codes, layer.b_hat.codes.astype(np.float64))
-
     if diag is not None:
-        diag.mid_saturated += mid_sat
+        diag.mid_saturated += count_clamped(mid_codes, 127)
         diag.inter_gemm_scales.append(float(layer.mid_scale))
+    round_half_away(mid_codes, 127)
+    acc2 = _gemm(mid_codes, layer.b_hat.codes.astype(np.float64))
 
     b_scale = layer.b_hat.scale
     scalar = layer.s_a * layer.mid_scale

@@ -46,10 +46,6 @@ class RankPolicy:
             raise ValidationError("energy fraction must lie in (0, 1]")
         return RankPolicy("energy", float(eta))
 
-    @staticmethod
-    def default_for(min_dim: int) -> "RankPolicy":
-        return RankPolicy.fixed(max(1, min_dim // 8))
-
 
 @dataclass
 class SvdResult:

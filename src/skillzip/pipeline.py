@@ -56,7 +56,7 @@ class PipelineConfig:
 
     def rank_policy(self, min_dim: int) -> RankPolicy:
         if self.rank_mode == "auto":
-            return RankPolicy.default_for(min_dim)
+            return RankPolicy.fixed(max(1, min_dim // 8))
         if self.rank_mode == "fixed":
             return RankPolicy.fixed(self.rank_value)
         if self.rank_mode == "energy":

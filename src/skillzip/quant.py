@@ -14,7 +14,8 @@ The rule, fixed on purpose, lives once in `quantize_codes` and
 
 `quantize` builds the A and B grids on it, `kernel` quantizes activations
 per token or per request with it, `kernel.requant_mid` and `gptq_refine`
-round against their own fixed scales with `round_half_away`.
+round against their own fixed scales with `round_half_away`; `count_clamped`
+counts the mid clamps when `forward_quantized` reports them.
 
 Granularity is constrained by where scales can be applied around an integer
 matmul: activations are per-token or per-tensor (row side), the mid factor
@@ -35,17 +36,21 @@ PER_CHANNEL = "per-channel"
 _GRANULARITIES = (PER_TENSOR, PER_TOKEN, PER_CHANNEL)
 
 
-def round_half_away(q: np.ndarray, limit: int) -> int:
+def round_half_away(q: np.ndarray, limit: int) -> None:
     """Round float64 quotients to codes in place: ties away from zero,
-    clamped to +-limit, no -0.0. Returns how many entries the clamp moved."""
+    clamped to +-limit, no -0.0."""
     codes = np.abs(q)
     codes += 0.5
     np.floor(codes, out=codes)
-    clamped = int(np.count_nonzero(codes > limit))
     np.minimum(codes, limit, out=codes)
     np.copysign(codes, q, out=q)
     q += 0.0
-    return clamped
+
+
+def count_clamped(q: np.ndarray, limit: int) -> int:
+    """How many quotients `round_half_away(q, limit)` will clamp: |q| >= limit
+    + 1/2 (below that, |q| + 1/2 still rounds below limit + 1 in float64)."""
+    return int(np.count_nonzero(np.abs(q) >= limit + 0.5))
 
 
 @dataclass(frozen=True)
@@ -172,7 +177,7 @@ def quantize_codes(
     scales = np.where(scales == 0.0, 1.0, scales).astype(np.float32)  # all-zero group rule
     if not (scales > 0).all():  # a subnormal peak
         raise ValidationError("scales must be positive and finite")
-    codes = m / scales.astype(np.float64)
+    codes = np.divide(m, scales, dtype=np.float64)
     round_half_away(codes, limit)
     return codes, scales
 

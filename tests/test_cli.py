@@ -384,11 +384,12 @@ def test_bench_repeats_exit_code(tiny_suite, tmp_path, capsys, repeats):
 
 def test_gen_synth_zero_tokens_exit_code(tmp_path, capsys):
     """The FTZ writer refuses the 0-row calibration archive that every later
-    command would reject."""
+    command would reject, and gen-synth checks every archive before it
+    writes any, so nothing is left behind."""
     out = tmp_path / "f"
     assert main(["gen-synth", "--out", str(out), "--channels", "16", "--tokens", "0"]) == 2
     assert "empty shape" in capsys.readouterr().err
-    assert not (out / "calib.ftz").exists() and not (out / "eval.ftz").exists()
+    assert not out.exists()
 
 
 # A huge candidate count is valid and only slow, so it is not substituted.

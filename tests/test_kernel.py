@@ -22,7 +22,7 @@ from skillzip import (
 from skillzip import kernel
 from skillzip.fixtures import outlier_activations
 from skillzip.kernel import MAX_CONTRACTION, calibrate_mid_scale
-from skillzip.quant import PER_CHANNEL, PER_TENSOR, PER_TOKEN, quantize_codes, round_half_away
+from skillzip.quant import PER_CHANNEL, PER_TENSOR, PER_TOKEN, count_clamped, quantize_codes, round_half_away
 from skillzip.prng import Prng
 from skillzip.tensors import fro_norm, matmul
 from exact_case import build_exact_case
@@ -421,11 +421,26 @@ def test_requant_matches_reference(rows, cols, mid_scale, halves):
     acc = np.array(halves[: rows * cols], dtype=np.float64).reshape(rows, cols) * (mid_scale / 2)
     want, want_sat = ref.requant(acc, mid_scale)
     codes = acc / mid_scale
-    assert round_half_away(codes, 127) == want_sat
+    assert count_clamped(codes, 127) == want_sat
+    round_half_away(codes, 127)
     assert np.array_equal(codes, want)
     assert not np.signbit(codes[codes == 0]).any()
     assert requant_mid(acc, mid_scale).codes.tobytes() == want.astype(np.int8).tobytes()
 
+
+
+@pytest.mark.parametrize("limit", [7, 127])
+def test_count_clamped_at_the_rounding_edge(limit):
+    """count_clamped counts exactly the quotients that the reference rounds
+    past the limit, one ulp either side of limit + 1/2 and further out."""
+    edge = limit + 0.5
+    q = np.array(
+        [0.0, 1e-300, limit, np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf), limit + 1.0, 1e300]
+    )
+    q = np.concatenate([q, -q])
+    want = int(np.count_nonzero(np.abs(ref.round_half_away(q)) > limit))
+    assert want == 8
+    assert count_clamped(q, limit) == want
 
 # ---------------------------------------------------------------------------
 # int32 accumulation guarantee at the contraction limit
