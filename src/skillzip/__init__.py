@@ -2,7 +2,6 @@
 shared backbone, executed through a two-stage integer pipeline."""
 
 from .archive import read_archive, write_archive
-from .calibration import CalibProfile, profile
 from .deltas import MergePlan, TaskDelta, extract_delta, merge_shared, recenter
 from .errors import FormatError, RoutingError, ShapeError, SkillzipError, ValidationError
 from .kernel import CompiledSkillLayer, ForwardDiag, compile_layer, forward_full, forward_quantized, gemm_i8_i32, requant_mid
@@ -23,14 +22,13 @@ from .quant import (
     unpack_int4,
 )
 from .routing import Batch, ForwardRequest, SkillRegistry, dispatch_batch, dispatch_sequential
-from .smoothing import RotationChoice, apply_smooth, compute_smooth, fold_rotation, sample_rotation, select_rotation
+from .smoothing import RotationChoice, apply_smooth, compute_smooth, fold_rotation, profile, sample_rotation, select_rotation
 from .tensors import fro_norm, matmul
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Batch",
-    "CalibProfile",
     "CompiledSkillLayer",
     "CompressionResult",
     "ForwardDiag",

@@ -82,8 +82,7 @@ def cmd_compress(args) -> int:
     for task_id, pack in result.packs.items():
         pack_path = os.path.join(args.out, f"{task_id}.skz")
         packio.write_skillpack(pack, pack_path)
-        ratio = pack.manifest.compression_ratio if pack.manifest else packio.compression_ratio(pack)
-        print(f"{task_id}: {len(pack.layers)} layers, compression ratio {ratio:.2f} -> {pack_path}")
+        print(f"{task_id}: {len(pack.layers)} layers, compression ratio {pack.manifest.compression_ratio:.2f} -> {pack_path}")
     with open(os.path.join(args.out, "config.json"), "w", encoding="utf-8") as f:
         f.write(config.to_canonical_json())
     return 0

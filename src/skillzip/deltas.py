@@ -103,12 +103,7 @@ def recenter(deltas: list[TaskDelta], shared: TaskDelta) -> tuple[TaskDelta, lis
     component itself, and residual_i + shared == delta_i exactly where
     float32 can represent it.
     """
-    for d in deltas:
-        if set(d.layer_names()) != set(shared.layer_names()):
-            raise ShapeError(f"delta {d.task_id!r} layer set differs from shared")
-        for n in shared.layer_names():
-            if d.layers[n].shape != shared.layers[n].shape:
-                raise ShapeError(f"layer {n!r} shape mismatch with shared component")
+    _check_same_layers([shared, *deltas])
     residuals = [
         TaskDelta(d.task_id, {n: (d.layers[n] - shared.layers[n]).astype(np.float32) for n in d.layer_names()})
         for d in deltas

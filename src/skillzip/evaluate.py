@@ -45,7 +45,6 @@ class FidelityReport:
     per_layer: dict[str, LayerFidelity] = field(default_factory=dict)
     aggregate_rel_error: float = 0.0
     compression_ratio: float = 0.0
-    timings: dict[str, float] = field(default_factory=dict)
 
     def finalize(self) -> "FidelityReport":
         weights = {n: lf.signal_norm**2 for n, lf in self.per_layer.items()}
@@ -61,7 +60,6 @@ class FidelityReport:
             "method": self.method,
             "aggregate_rel_error": self.aggregate_rel_error,
             "compression_ratio": self.compression_ratio,
-            "timings": self.timings,
             "per_layer": {n: asdict(lf) for n, lf in sorted(self.per_layer.items())},
         }
 
@@ -77,8 +75,6 @@ class FidelityReport:
                 f"{n:<16}{lf.rel_error:>14.6e}{lf.signal_norm:>12.4g}"
                 f"{lf.flops_dense:>14d}{lf.flops_lowrank:>14d}{lf.mid_saturated:>9d}"
             )
-        for key, value in sorted(self.timings.items()):
-            lines.append(f"timing {key}: {value:.6f} s")
         return "\n".join(lines)
 
 

@@ -1,12 +1,14 @@
 """End-to-end compression: deltas in, backbone plus skillpacks out.
 
-Per task and per layer the stages are: channel-wise smoothing of the delta,
-truncated SVD with the square-root energy split, rotation selection over
-seeded orthogonal candidates, quantization of both factors (optionally with
-GPTQ refinement of the output factor), and mid-scale calibration. Before
-any of that, the shared component across tasks is merged into the backbone
-and subtracted from each delta. Every stage can be toggled off
-independently, which is what the ablation harness exercises.
+The config is checked when it is built, and the calibration inputs before
+any compute. Per task and per layer the stages are: channel-wise smoothing
+of the delta by its layer's calibration `profile`, truncated SVD with the
+square-root energy split, rotation selection over seeded orthogonal
+candidates, quantization of both factors (optionally with GPTQ refinement
+of the output factor), and mid-scale calibration. Before any of that, the
+shared component across tasks is merged into the backbone and subtracted
+from each delta. Every stage can be toggled off independently, which is
+what the ablation harness exercises.
 
 All randomness flows from one master seed through labeled child streams
 (`task/layer` labels), so runs are reproducible and independent of task
@@ -21,15 +23,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .calibration import profile
 from .deltas import MergePlan, TaskDelta, apply_delta, extract_delta, merge_shared, recenter
-from .errors import SkillzipError, ValidationError
+from .errors import ShapeError, SkillzipError, ValidationError
 from .kernel import compile_layer
 from .lowrank import RankPolicy, split_factors, truncated_svd
 from .packio import Skillpack, manifest_for
 from .prng import Prng
 from .quant import QuantConfig
-from .smoothing import DEFAULT_ALPHA, DEFAULT_EPSILON, apply_smooth, compute_smooth, fold_rotation, select_rotation
+from .smoothing import DEFAULT_ALPHA, DEFAULT_CANDIDATES, DEFAULT_EPSILON, MAX_CANDIDATES, apply_smooth, compute_smooth
+from .smoothing import fold_rotation, profile, select_rotation
 
 
 @dataclass(frozen=True)
@@ -50,9 +52,14 @@ class PipelineConfig:
     rank_mode: str = "auto"  # auto | fixed | energy
     rank_value: float = 0.0
     quant: QuantConfig = QuantConfig()
-    n_candidates: int = 10
+    n_candidates: int = DEFAULT_CANDIDATES
     seed: int = 0
     toggles: Toggles = Toggles()
+
+    def __post_init__(self):
+        self.rank_policy(1)  # the rank mode and value checks
+        if not 0 <= self.n_candidates <= MAX_CANDIDATES:
+            raise ValidationError(f"n_candidates must lie in 0..{MAX_CANDIDATES}, got {self.n_candidates}")
 
     def rank_policy(self, min_dim: int) -> RankPolicy:
         if self.rank_mode == "auto":
@@ -181,14 +188,17 @@ def compress(
     """Full multi-task compression.
 
     `tuned` maps task id to its weight archive; `calib` maps layer name to
-    calibration activations (T x C_i). Merging requires at least two tasks
-    and is skipped (with the toggle honored) for a single task.
+    calibration activations (T x C_i, T >= 1). Merging requires at least
+    two tasks and is skipped (with the toggle honored) for a single task.
     """
     if not tuned:
         raise ValidationError("no tuned weight sets given")
-    for layer_name in base:
+    for layer_name, w in base.items():
         if layer_name not in calib:
             raise ValidationError(f"calibration activations missing for layer {layer_name!r}")
+        x = calib[layer_name]
+        if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != w.shape[0]:
+            raise ShapeError(f"calibration activations for layer {layer_name!r} are {x.shape}, not T x {w.shape[0]}, T >= 1")
 
     deltas = [extract_delta(base, weights, task_id) for task_id, weights in tuned.items()]
 
@@ -201,7 +211,7 @@ def compress(
         residuals = deltas
         backbone = dict(base)
 
-    prof = profile({name: [x] for name, x in calib.items()})
+    mean_abs = profile({name: calib[name] for name in base})
     master = Prng(config.seed)
 
     packs: dict[str, Skillpack] = {}
@@ -213,17 +223,13 @@ def compress(
                     layer_name,
                     residual.layers[layer_name],
                     calib[layer_name],
-                    prof.stats(layer_name).mean_abs,
+                    mean_abs[layer_name],
                     config,
                     master.spawn(f"{residual.task_id}/{layer_name}"),
                 )
             except SkillzipError as exc:
                 raise type(exc)(f"task {residual.task_id!r} layer {layer_name!r}: {exc}") from exc
         pack = Skillpack(task_id=residual.task_id, layers=layers)
-        pack.manifest = manifest_for(pack, provenance=provenance_of(config))
+        pack.manifest = manifest_for(pack, provenance=_canonical_body(config))
         packs[residual.task_id] = pack
     return CompressionResult(backbone=backbone, shared=shared, packs=packs)
-
-
-def provenance_of(config: PipelineConfig) -> dict:
-    return json.loads(config.to_canonical_json())

@@ -138,9 +138,6 @@ class QuantConfig:
         if self.gran_b not in (PER_CHANNEL, PER_TENSOR):
             raise ValidationError(f"gran_b must be per-channel or per-tensor, got {self.gran_b!r}")
 
-    def tag(self) -> str:
-        return f"X{self.bits_x}A{self.bits_a}B{self.bits_b}"
-
 
 def quantize_codes(
     m: np.ndarray, bits: int, granularity: str, row_blocks: list[int] | None

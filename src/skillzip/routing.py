@@ -55,23 +55,16 @@ class SkillRegistry:
         if self.target_layer not in self.backbone:
             raise ValidationError(f"backbone has no layer {self.target_layer!r}")
         for task_id, pack in self.packs.items():
-            self._check_pack(task_id, pack)
-
-    def _check_pack(self, task_id: str, pack: Skillpack) -> None:
-        for name, layer in pack.layers.items():
-            if name not in self.backbone:
-                raise ShapeError(f"pack {task_id!r} references unknown layer {name!r}")
-            w = self.backbone[name]
-            if (layer.c_in, layer.c_out) != w.shape:
-                raise ShapeError(
-                    f"pack {task_id!r} layer {name!r} is {layer.c_in}x{layer.c_out}, backbone is {w.shape}"
-                )
-        if self.target_layer not in pack.layers:
-            raise ShapeError(f"pack {task_id!r} lacks the serving layer {self.target_layer!r}")
-
-    def register(self, pack: Skillpack) -> None:
-        self._check_pack(pack.task_id, pack)
-        self.packs[pack.task_id] = pack
+            for name, layer in pack.layers.items():
+                if name not in self.backbone:
+                    raise ShapeError(f"pack {task_id!r} references unknown layer {name!r}")
+                w = self.backbone[name]
+                if (layer.c_in, layer.c_out) != w.shape:
+                    raise ShapeError(
+                        f"pack {task_id!r} layer {name!r} is {layer.c_in}x{layer.c_out}, backbone is {w.shape}"
+                    )
+            if self.target_layer not in pack.layers:
+                raise ShapeError(f"pack {task_id!r} lacks the serving layer {self.target_layer!r}")
 
     def route(self, request: ForwardRequest) -> str:
         """Check one request's label and activations; runs no compute."""
@@ -177,14 +170,16 @@ def load_request_stream(path: str | os.PathLike) -> Batch:
                 x = entry_cache[archive_path][entry]
             else:
                 try:
-                    arr = np.asarray(payload, dtype=np.float32)
+                    arr = np.asarray(payload, dtype=np.float64)
                 except (ValueError, TypeError, OverflowError) as exc:
                     raise ValidationError(f"{spath}:{lineno}: bad inline row data ({exc})") from exc
+                if not (np.abs(arr) <= np.finfo(np.float32).max).all():  # NaN fails too
+                    raise ValidationError(f"{spath}:{lineno}: inline values must be finite and within float32 range")
                 if arr.ndim == 1:
                     arr = arr.reshape(1, -1)
                 if arr.ndim != 2 or arr.size == 0:
                     raise ValidationError(f"{spath}:{lineno}: inline data must be one row or a list of rows")
-                x = arr
+                x = arr.astype(np.float32)
             requests.append(ForwardRequest(task_id=str(task), x=x))
     return Batch(requests=requests)
 

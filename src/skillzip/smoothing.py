@@ -1,7 +1,8 @@
 """Double smoothing: channel-wise outlier migration and rank-wise rotation.
 
 Channel-wise smoothing rescales each input channel by a factor derived from
-its average activation magnitude, dividing it out of the activations and
+its mean activation magnitude on calibration data (`profile`), the
+SmoothQuant migration statistic, dividing it out of the activations and
 folding it into the weight. The product is unchanged; the quantization
 burden moves from a handful of extreme activation channels onto the weight,
 where per-tensor and per-channel scales can absorb it.
@@ -29,6 +30,12 @@ from .tensors import fro_norm, matmul
 DEFAULT_ALPHA = 0.7
 DEFAULT_EPSILON = 1e-5
 DEFAULT_CANDIDATES = 10
+MAX_CANDIDATES = 256  # one block of 256 r x r float64 draws; the SKZ index field is u32
+
+
+def profile(calib: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Per layer, the float64 mean |x| of each input channel over T >= 1 rows."""
+    return {name: np.abs(x.astype(np.float64)).sum(axis=0) / x.shape[0] for name, x in calib.items()}
 
 
 def compute_smooth(
@@ -149,8 +156,8 @@ def select_rotation(
         raise ShapeError("factor rank mismatch")
     if x_calib.shape[1] != a.shape[0]:
         raise ShapeError("calibration activations do not match A's input dimension")
-    if n_candidates < 0:
-        raise ValidationError("candidate count must be >= 0")
+    if not 0 <= n_candidates <= MAX_CANDIDATES:
+        raise ValidationError(f"candidate count must lie in 0..{MAX_CANDIDATES}, got {n_candidates}")
     r = a.shape[1]
     reference = matmul(matmul(x_calib, a), b)
 

@@ -15,65 +15,39 @@ def _synth(seed, tokens, channels, n_outliers, ratio):
 
 def test_profile_uniform_signs():
     x = np.array([[1.0, -1.0], [1.0, -1.0]], dtype=np.float32)
-    prof = profile({"l": [x]})
-    st = prof.stats("l")
-    assert st.mean_abs.tolist() == [1.0, 1.0]
-    assert st.max_abs.tolist() == [1.0, 1.0]
-    assert st.token_count == 2
+    prof = profile({"l": x})
+    assert list(prof) == ["l"]
+    assert prof["l"].dtype == np.float64
+    assert prof["l"].tolist() == [1.0, 1.0]
 
 
 def test_profile_scalar_oracle():
     x = np.array([[0.0, 2.0], [0.0, -4.0]], dtype=np.float32)
-    st = profile({"l": [x]}).stats("l")
-    assert st.mean_abs.tolist() == [0.0, 3.0]
-    assert st.max_abs.tolist() == [0.0, 4.0]
-
-
-def test_profile_batch_split_invariant():
-    rng = Prng(21)
-    x = rng.uniform_matrix(40, 16, -9.0, 9.0)
-    whole = profile({"l": [x]}).stats("l")
-    split = profile({"l": [x[:13], x[13:27], x[27:]]}).stats("l")
-    assert np.abs(whole.mean_abs - split.mean_abs).max() <= 1e-9
-    assert np.array_equal(whole.max_abs, split.max_abs)
-    assert whole.token_count == split.token_count
-
-
-def test_profile_empty_batches_rejected():
-    with pytest.raises(ValidationError):
-        profile({"l": []})
-
-
-def test_profile_column_mismatch():
-    from skillzip.errors import ShapeError
-
-    with pytest.raises(ShapeError):
-        profile({"l": [np.ones((2, 3), dtype=np.float32), np.ones((2, 4), dtype=np.float32)]})
+    assert profile({"l": x})["l"].tolist() == [0.0, 3.0]
 
 
 def test_profile_permutation_equivariant():
     rng = Prng(22)
     x = rng.uniform_matrix(20, 8, -5.0, 5.0)
     perm = [3, 1, 7, 0, 4, 6, 2, 5]
-    direct = profile({"l": [x[:, perm]]}).stats("l")
-    base = profile({"l": [x]}).stats("l")
-    assert np.array_equal(direct.mean_abs, base.mean_abs[perm])
-    assert np.array_equal(direct.max_abs, base.max_abs[perm])
+    direct = profile({"l": x[:, perm]})["l"]
+    base = profile({"l": x})["l"]
+    assert np.array_equal(direct, base[perm])
 
 
 def test_synth_degenerate_ratio_indistinguishable():
     x = _synth(1, tokens=200, channels=32, n_outliers=4, ratio=1.0)
-    st = profile({"l": [x]}).stats("l")
-    assert st.max_abs.max() / np.median(st.max_abs) <= 1.5
+    mean_abs = profile({"l": x})["l"]
+    assert mean_abs.max() / np.median(mean_abs) <= 1.5
 
 
 def test_synth_outlier_column_stands_out():
     x = _synth(2, tokens=128, channels=64, n_outliers=1, ratio=100.0)
-    st = profile({"l": [x]}).stats("l")
-    order = np.argsort(st.max_abs)
-    others_median = np.median(st.max_abs[order[:-1]])
-    assert st.max_abs[order[-1]] >= 50.0 * others_median
-    assert np.sum(st.max_abs >= 50.0 * others_median) == 1
+    mean_abs = profile({"l": x})["l"]
+    order = np.argsort(mean_abs)
+    others_median = np.median(mean_abs[order[:-1]])
+    assert mean_abs[order[-1]] >= 50.0 * others_median
+    assert np.sum(mean_abs >= 50.0 * others_median) == 1
 
 
 def test_synth_deterministic():
@@ -85,10 +59,10 @@ def test_synth_deterministic():
 def test_synth_ratio_scaling_property():
     for ratio in (10.0, 50.0, 100.0):
         x = _synth(11, 64, 48, 3, ratio)
-        st = profile({"l": [x]}).stats("l")
-        order = np.argsort(st.max_abs)
-        outliers = st.max_abs[order[-3:]]
-        others = np.median(st.max_abs[order[:-3]])
+        mean_abs = profile({"l": x})["l"]
+        order = np.argsort(mean_abs)
+        outliers = mean_abs[order[-3:]]
+        others = np.median(mean_abs[order[:-3]])
         assert (outliers >= 0.5 * ratio * others).all()
 
 

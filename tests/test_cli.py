@@ -392,9 +392,27 @@ def test_gen_synth_zero_tokens_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
-# A huge candidate count is valid and only slow, so it is not substituted.
+@pytest.mark.parametrize(
+    "body",
+    [
+        '{"rank": {"mode": "bogus"}}',
+        '{"rank": {"mode": "energy", "value": 1.5}}',
+        '{"n_candidates": -1, "toggles": {"rotate": false}}',
+        '{"n_candidates": 1000000000}',
+    ],
+    ids=["rank-mode", "energy", "negative-candidates", "huge-candidates"],
+)
+def test_out_of_range_config_exit_code(tiny_suite, tmp_path, capsys, body):
+    """Refused when the config is read: exit 2 and no output directory."""
+    (tmp_path / "cfg.json").write_text(body)
+    out = tmp_path / "packs"
+    assert main(tiny_suite["compress"] + ["--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _CLI_CONFIG = json.loads(PipelineConfig(rank_mode="fixed", rank_value=2, n_candidates=2).to_canonical_json())
-_CLI_LEAVES = sorted(path for path in leaf_paths(_CLI_CONFIG) if path != ("n_candidates",))
+_CLI_LEAVES = sorted(leaf_paths(_CLI_CONFIG))
 
 
 # capsys is read and cleared in every example.

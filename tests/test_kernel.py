@@ -221,7 +221,7 @@ def test_int4_activation_configs():
         layer = compile_layer("l", np.ones(48, dtype=np.float32), a, b, config, x_calib=x)
         out = forward_quantized(layer, x)
         assert np.isfinite(out).all()
-        assert fro_norm(oracle - out) <= 0.5 * fro_norm(oracle), config.tag()
+        assert fro_norm(oracle - out) <= 0.5 * fro_norm(oracle), config
 
 
 def test_layer_config_must_agree_with_grids():

@@ -6,11 +6,12 @@ from dataclasses import replace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skillzip import MergePlan, QuantConfig, ValidationError
+from skillzip import MergePlan, QuantConfig, ShapeError, ValidationError
 from skillzip.evaluate import eval_pack, total_delta_error
 from skillzip.fixtures import make_suite
 from skillzip.packio import serialize_skillpack
 from skillzip.pipeline import PipelineConfig, Toggles, compress
+from skillzip.smoothing import MAX_CANDIDATES
 from mutate import HOSTILE_VALUES, byte_ops, leaf_paths, mutate_bytes, substitute
 
 
@@ -121,6 +122,24 @@ def test_missing_calibration_layer():
         compress(suite.base, suite.tuned, calib, _fast_config())
 
 
+@pytest.mark.parametrize(
+    "shape, match",
+    [((0, 48), r"\(0, 48\)"), ((16, 47), r"\(16, 47\)"), ((16,), r"\(16,\)"), ((2, 16, 48), "")],
+    ids=["no-rows", "wrong-width", "one-dimensional", "three-dimensional"],
+)
+def test_bad_calibration_matrix_rejected_before_any_compute(monkeypatch, shape, match):
+    import skillzip.pipeline
+
+    calls = []
+    monkeypatch.setattr(skillzip.pipeline, "extract_delta", lambda *a: calls.append(a))
+    suite = _small_suite()
+    calib = dict(suite.calib)
+    calib[sorted(calib)[-1]] = np.ones(shape, dtype=np.float32)
+    with pytest.raises(ShapeError, match=f"calibration activations for layer 'layer1' are {match}"):
+        compress(suite.base, suite.tuned, calib, _fast_config())
+    assert calls == []
+
+
 def test_eval_pack_reports_reasonable_error():
     suite = _small_suite()
     config = _fast_config()
@@ -186,6 +205,26 @@ def test_config_rejects_bad_json():
 def test_config_rejects_malformed_fields(text):
     with pytest.raises(ValidationError):
         PipelineConfig.from_json(text)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ('{"rank": {"mode": "bogus"}}', "unknown rank mode"),
+        ('{"rank": {"mode": "energy", "value": 1.5}}', "energy fraction"),
+        ('{"rank": {"mode": "fixed", "value": 0.5}}', "fixed rank"),
+        ('{"n_candidates": -1, "toggles": {"rotate": false}}', "n_candidates"),
+        ('{"n_candidates": 257}', "n_candidates"),
+        ('{"n_candidates": 1000000000}', "n_candidates"),
+    ],
+    ids=["rank-mode", "energy", "fixed", "negative-candidates", "candidates-above-cap", "huge-candidates"],
+)
+def test_config_values_checked_when_parsed(text, match):
+    """Out-of-range values are refused by from_json itself, not later in
+    compress (where a huge candidate count never returns)."""
+    with pytest.raises(ValidationError, match=match):
+        PipelineConfig.from_json(text)
+    assert PipelineConfig.from_json(f'{{"n_candidates": {MAX_CANDIDATES}}}').n_candidates == MAX_CANDIDATES
 
 
 def test_config_partial_body_takes_defaults_and_keeps_ints():

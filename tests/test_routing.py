@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -159,8 +160,9 @@ def test_registry_rejects_shape_mismatch():
     a = rng.uniform_matrix(C_IN + 1, 2, -1, 1)
     b = rng.uniform_matrix(2, C_OUT, -1, 1)
     layer = compile_layer("layer0", np.ones(C_IN + 1, dtype=np.float32), a, b, QuantConfig(), mid_scale=1.0)
-    with pytest.raises(ShapeError):
-        reg.register(Skillpack("bad", {"layer0": layer}))
+    packs = {**reg.packs, "bad": Skillpack("bad", {"layer0": layer})}
+    with pytest.raises(ShapeError, match="'bad' layer 'layer0'"):
+        SkillRegistry(backbone=reg.backbone, target_layer="layer0", packs=packs)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +193,29 @@ def test_stream_parse_error_reports_line(tmp_path):
     stream.write_text('{"task": "math", "x": [[1.0]]}\nnot json\n')
     with pytest.raises(ValidationError, match="bad.jsonl:2"):
         load_request_stream(stream)
+
+
+@pytest.mark.parametrize("value", ["1e39", "-1e308", "NaN", "Infinity"])
+def test_stream_out_of_range_inline_value_rejected(tmp_path, value):
+    """Checked in float64 before the float32 cast, so no overflow warning."""
+    stream = tmp_path / "wide.jsonl"
+    row = ", ".join(["0.5"] * (C_IN - 1) + [value])
+    stream.write_text(f'{{"task": "math", "x": [1.0]}}\n{{"task": "math", "x": [{row}]}}\n')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="wide.jsonl:2: inline values must be finite"):
+            load_request_stream(stream)
+
+
+def test_stream_float32_max_inline_value_kept(tmp_path):
+    f32_max = float(np.finfo(np.float32).max)
+    stream = tmp_path / "edge.jsonl"
+    stream.write_text(json.dumps({"task": "math", "x": [f32_max, -f32_max, 1e-46]}) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = load_request_stream(stream).requests[0].x
+    assert x.dtype == np.float32
+    assert x.tolist() == [[f32_max, -f32_max, 0.0]]
 
 
 def test_stream_outputs_archive(tmp_path):
