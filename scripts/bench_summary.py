@@ -1,0 +1,135 @@
+"""Summarize perfbench records of a parent run and a change run into one JSON file.
+
+    python3 scripts/bench_summary.py --parent DIR --change DIR --out BENCH_<n>.json
+
+Each DIR holds perfbench records (the `perfbench/_out/*.json` files one run
+writes), in any layout below it: every `*.json` file found under DIR with a
+`context` and a `result` is one run. Untraced records only (`--trace 0`);
+traced ones carry per-layer metrics instead. Per workload the output holds,
+for the parent and for the change, the median and interquartile range of
+each end-to-end metric over the runs, the seeds, the run count, the context
+line, each run's `op_ms_p50` and the `pack_sha256` of each seed; and the
+change/parent ratio of the medians, the number of run pairs (the k-th run of
+a seed on one side pairs with the k-th on the other, in path order) and how
+many of them the change won on `op_ms_p50`. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+
+END_TO_END = ("setup_s", "op_ms_p50", "rel_error", "compression_ratio", "peak_rss_mb")
+
+
+def load_records(root: str) -> list[dict]:
+    """Every untraced perfbench record under `root`, in sorted path order."""
+    records = []
+    for dirpath, _, names in sorted(os.walk(root)):
+        for name in sorted(names):
+            if not name.endswith(".json"):
+                continue
+            with open(os.path.join(dirpath, name), encoding="utf-8") as f:
+                record = json.load(f)
+            if isinstance(record, dict) and "context" in record and "result" in record:
+                if record["context"].get("trace", 0) == 0:
+                    records.append(record)
+    return records
+
+
+def context_line(context: dict) -> str:
+    blas = context.get("blas") or {}
+    return (
+        f"nproc {context.get('nproc')}, Python {context.get('python')}, numpy {context.get('numpy')}, "
+        f"{blas.get('name')} {blas.get('version')}, {context.get('blas_threads')} BLAS threads, "
+        f"{context.get('seconds')} s per run"
+    )
+
+
+def spread(values: list[float]) -> dict:
+    """Median and interquartile range (inclusive quartiles; 0 for one value)."""
+    if len(values) < 2:
+        return {"median": values[0], "iqr": 0.0}
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "iqr": q3 - q1}
+
+
+def side_summary(records: list[dict]) -> dict:
+    metrics = {}
+    for name in END_TO_END:
+        values = [r["result"]["metrics"][name]["value"] for r in records if name in r["result"]["metrics"]]
+        if values:
+            metrics[name] = {**spread(values), "unit": records[0]["result"]["metrics"][name]["unit"]}
+    shas = {}
+    for r in records:
+        sha = r["context"].get("pack_sha256")
+        if sha is not None:
+            shas.setdefault(str(r["context"]["seed"]), set()).add(sha)
+    return {
+        "runs": len(records),
+        "seeds": sorted({r["context"]["seed"] for r in records}),
+        "failed": sum(r["result"]["failed"] for r in records),
+        "attempted": sum(r["result"]["attempted"] for r in records),
+        "context": context_line(records[0]["context"]),
+        "metrics": metrics,
+        "op_ms_p50_runs": [[r["context"]["seed"], r["result"]["metrics"]["op_ms_p50"]["value"]] for r in records],
+        "pack_sha256": {seed: sorted(s) for seed, s in sorted(shas.items())},
+    }
+
+
+def summarize(parent: list[dict], change: list[dict]) -> dict:
+    workloads = sorted({r["context"]["workload"] for r in parent} & {r["context"]["workload"] for r in change})
+    out = {}
+    for workload in workloads:
+        sides = {}
+        for label, records in (("parent", parent), ("change", change)):
+            sides[label] = side_summary([r for r in records if r["context"]["workload"] == workload])
+        pairs = wins = 0
+        for seed in set(sides["parent"]["seeds"]) & set(sides["change"]["seeds"]):
+            before, after = ([v for s, v in sides[label]["op_ms_p50_runs"] if s == seed] for label in ("parent", "change"))
+            pairs += min(len(before), len(after))
+            wins += sum(a < b for b, a in zip(before, after))  # the k-th run of a seed on each side is one pair
+        ratio = {
+            name: sides["change"]["metrics"][name]["median"] / sides["parent"]["metrics"][name]["median"]
+            for name in sides["parent"]["metrics"]
+            if name in sides["change"]["metrics"] and sides["parent"]["metrics"][name]["median"] != 0
+        }
+        out[workload] = {
+            "pairs": pairs,
+            "pairs_change_faster": wins,
+            **sides,
+            "change_over_parent_median": ratio,
+            "pack_sha256_equal": sides["parent"]["pack_sha256"] == sides["change"]["pack_sha256"],
+        }
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, help="directory with the parent's perfbench records")
+    parser.add_argument("--change", required=True, help="directory with the change's perfbench records")
+    parser.add_argument("--out", required=True, help="summary JSON to write")
+    args = parser.parse_args(argv)
+    parent, change = load_records(args.parent), load_records(args.change)
+    if not parent or not change:
+        print("error: no untraced perfbench records under one of the directories", file=sys.stderr)
+        return 2
+    summary = summarize(parent, change)
+    with open(args.out, "w", encoding="utf-8") as f:
+        json.dump(summary, f, indent=1, sort_keys=True)
+        f.write("\n")
+    for workload, entry in summary.items():
+        ratio = entry["change_over_parent_median"].get("op_ms_p50")
+        shown = f"{ratio:.3f}x" if ratio is not None else "n/a"
+        print(
+            f"{workload}: change faster in {entry['pairs_change_faster']} of {entry['pairs']} pairs, "
+            f"op_ms_p50 {shown}, pack_sha256 equal {entry['pack_sha256_equal']}"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

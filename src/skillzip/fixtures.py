@@ -75,6 +75,10 @@ def make_suite(
     base_range: float = 15.0,
 ) -> SynthSuite:
     """Deterministic suite for a given seed."""
+    sizes = dict(n_tasks=n_tasks, n_layers=n_layers, c_in=c_in, c_out=c_out, calib_tokens=calib_tokens, eval_tokens=eval_tokens)
+    for name, size in sizes.items():  # a negative n_tasks would slice TASK_NAMES from the end
+        if size < 1:
+            raise ValidationError(f"suite size {name}={size} gives an empty shape; every size must be >= 1")
     if not (0 <= outlier_channels < c_in):
         raise ValidationError(f"outlier channel count must lie in [0, {c_in}), got {outlier_channels}")
     rng = Prng(seed)

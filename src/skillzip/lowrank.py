@@ -5,7 +5,11 @@ the columns of the working matrix, accumulating the right factor, until
 every column pair is orthogonal to a fixed threshold. Rotations are applied
 in round-robin rounds of disjoint pairs so each round vectorizes, and the
 schedule is fixed, which makes the result deterministic for a given input
-on a given platform. A sign convention (largest-magnitude entry of each
+on a given platform. The working matrix a (m x n) and the accumulated V
+live in one C-contiguous row matrix w = [a^T | V^T]: row j is column j of a
+followed by column j of V. A round gathers its pairs' rows, reduces their
+first m entries, turns whole rows and scatters them back, so no strided
+column is ever gathered. A sign convention (largest-magnitude entry of each
 left singular vector nonnegative) pins the remaining per-triplet ambiguity.
 
 The split A = U sqrt(S), B = sqrt(S) V^T balances each rank's energy
@@ -16,6 +20,7 @@ dimensions before quantization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +59,11 @@ class SvdResult:
     vt: np.ndarray  # (R, n) float32, orthonormal rows
 
 
-def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+@functools.lru_cache(maxsize=32)
+def _round_robin_rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Tournament schedule: n-1 rounds of disjoint index pairs covering all
-    column pairs exactly once. Odd n gets a bye slot."""
+    column pairs exactly once. Odd n gets a bye slot. Cached per n, so the
+    index arrays are read-only."""
     players = list(range(n))
     if n % 2:
         players.append(-1)
@@ -71,49 +78,58 @@ def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
                 p.append(min(a, b))
                 q.append(max(a, b))
         rounds.append((np.array(p, dtype=np.intp), np.array(q, dtype=np.intp)))
+        rounds[-1][0].flags.writeable = rounds[-1][1].flags.writeable = False
         arr = [arr[0], arr[-1]] + arr[1:-1]
-    return rounds
+    return tuple(rounds)
 
 
 def _jacobi_orthogonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rotate column pairs of `a` until all are mutually orthogonal.
 
-    Returns (a_rotated, v) with a_rotated == a_input @ v and v orthogonal.
+    Returns C-contiguous (a_rotated, v) with a_rotated == a_input @ v and v
+    orthogonal, turned in the row matrix w of the module docstring.
     """
     m, n = a.shape
-    a = a.astype(np.float64).copy()
-    v = np.eye(n, dtype=np.float64)
     if n == 1:
-        return a, v
+        return a.astype(np.float64).copy(), np.eye(1, dtype=np.float64)
+    w = np.hstack([a.T.astype(np.float64), np.eye(n, dtype=np.float64)])
     rounds = _round_robin_rounds(n)
+    rot, tmp, cw, sw = (np.empty((len(rounds[0][0]), m + n), dtype=np.float64) for _ in range(4))
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = 0
         for p, q in rounds:
-            ap = a[:, p]
-            aq = a[:, q]
-            alpha = np.einsum("ij,ij->j", ap, ap)
-            beta = np.einsum("ij,ij->j", aq, aq)
-            gamma = np.einsum("ij,ij->j", ap, aq)
+            wp, wq = w[p], w[q]
+            ap, aq = wp[:, :m], wq[:, :m]
+            # Each row here is one contiguous run of m doubles, as each column
+            # of the F-ordered column gather a[:, p] was, so einsum reduces it
+            # with the same kernel in the same order: the sums keep their bits.
+            alpha = np.einsum("ij,ij->i", ap, ap)
+            beta = np.einsum("ij,ij->i", aq, aq)
+            gamma = np.einsum("ij,ij->i", ap, aq)
             need = np.abs(gamma) > JACOBI_TOL * np.sqrt(alpha * beta)
-            if not need.any():
+            count = int(np.count_nonzero(need))
+            if count == 0:
                 continue
-            rotated += int(need.sum())
-            zeta = np.zeros_like(gamma)
-            np.divide(beta - alpha, 2.0 * gamma, out=zeta, where=need)
-            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+            rotated += count
+            if count == len(p):  # every pair turns: where= and the identity fill change no bit
+                zeta = (beta - alpha) / (2.0 * gamma)
+            else:
+                zeta = np.divide(beta - alpha, 2.0 * gamma, out=np.zeros_like(gamma), where=need)
+            with np.errstate(over="ignore"):  # |zeta| > 1e154 gives t = +-0, the limit of 1 / (2 zeta)
+                t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = c * t
-            c = np.where(need, c, 1.0)
-            s = np.where(need, s, 0.0)
-            a[:, p] = c * ap - s * aq
-            a[:, q] = s * ap + c * aq
-            vp = v[:, p]
-            vq = v[:, q]
-            v[:, p] = c * vp - s * vq
-            v[:, q] = s * vp + c * vq
+            if count < len(p):
+                c, s = np.where(need, c, 1.0), np.where(need, s, 0.0)
+            np.copyto(cw, c[:, None])  # full rows multiply faster than a broadcast column
+            np.copyto(sw, s[:, None])
+            np.subtract(np.multiply(cw, wp, out=rot), np.multiply(sw, wq, out=tmp), out=rot)
+            w[p] = rot
+            np.add(np.multiply(sw, wp, out=tmp), np.multiply(cw, wq, out=wq), out=wq)
+            w[q] = wq
         if rotated == 0:
             break
-    return a, v
+    return np.ascontiguousarray(w[:, :m].T), np.ascontiguousarray(w[:, m:].T)
 
 
 def _complete_column(u: np.ndarray, j: int) -> np.ndarray:
@@ -203,21 +219,27 @@ def _orth_columns(y: np.ndarray) -> np.ndarray:
     return q
 
 
+@functools.lru_cache(maxsize=8)
+def _sketch_test_matrix(m: int, n: int, k: int) -> np.ndarray:
+    """Gaussian (n, k) test matrix seeded by the shape alone: drawn once per shape, read-only."""
+    omega = Prng(0x53564431 ^ (m * 1000003 + n * 1009 + k)).gauss_matrix(n, k).astype(np.float64)
+    omega.flags.writeable = False
+    return omega
+
+
 def _sketched_svd(w: np.ndarray, r: int):
     """Randomized range finder + exact Jacobi on the projected matrix.
 
-    The Gaussian test matrix comes from a fixed shape-derived seed, so the
-    result is a pure function of the input. Subspace iterations sharpen the
-    range estimate enough for the downstream quantization stages, whose
-    error dwarfs the sketch suboptimality. Returns the r + oversample
-    leading triplets; the caller keeps the first r.
+    The test matrix depends on the shape alone, so the result is a pure
+    function of the input. Subspace iterations sharpen the range estimate
+    enough for the downstream quantization stages, whose error dwarfs the
+    sketch suboptimality. Returns the r + oversample leading triplets; the
+    caller keeps the first r.
     """
     m, n = w.shape
     k = min(min(m, n), r + _SKETCH_OVERSAMPLE)
-    rng = Prng(0x53564431 ^ (m * 1000003 + n * 1009 + k))
-    omega = rng.gauss_matrix(n, k).astype(np.float64)
     w64 = w.astype(np.float64)
-    q = _orth_columns(w64 @ omega)
+    q = _orth_columns(w64 @ _sketch_test_matrix(m, n, k))
     for _ in range(_SKETCH_POWER_ITERS):
         q = _orth_columns(w64.T @ q)
         q = _orth_columns(w64 @ q)

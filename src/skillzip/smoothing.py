@@ -49,8 +49,8 @@ def compute_smooth(
     mean_abs = np.asarray(mean_abs, dtype=np.float64).reshape(-1)
     if not (0.0 <= alpha <= 1.0):
         raise ValidationError("alpha must lie in [0, 1]")
-    if not (epsilon > 0):
-        raise ValidationError("epsilon must be positive")
+    if not (0 < epsilon <= float(np.finfo(np.float32).max)):  # the factors are float32
+        raise ValidationError(f"epsilon must be positive and within float32 range, got {epsilon!r}")
     if w.shape[0] != mean_abs.size:
         raise ShapeError(f"weight has {w.shape[0]} input channels, stats have {mean_abs.size}")
     row_peak = np.maximum(np.max(np.abs(w.astype(np.float64)), axis=1), epsilon)

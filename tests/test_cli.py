@@ -263,6 +263,21 @@ def test_gen_synth_too_many_outliers_exit_code(tmp_path, capsys):
     assert not (tmp_path / "f").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--tasks", "-1", "n_tasks"), ("--layers", "0", "n_layers"), ("--tokens", "-2", "calib_tokens"), ("--cout", "-3", "c_out")],
+)
+def test_gen_synth_degenerate_size_exit_code(tmp_path, capsys, flag, value, name):
+    """A negative task count would slice TASK_NAMES from the end and zero
+    layers would write entry-less archives: every suite size below 1 is
+    refused before anything is written."""
+    out = tmp_path / "f"
+    argv = ["gen-synth", "--out", str(out), "--channels", "8", "--tokens", "4", "--outliers", "1", flag, value]
+    assert main(argv) == 2
+    assert f"suite size {name}={value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_exit_code(fixture_dir, tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text('{"toggles": {"merge": "no"}}')
@@ -425,6 +440,7 @@ _CLI_LEAVES = sorted(leaf_paths(_CLI_CONFIG))
 @example(mutation=("substitute", ("rank", "value"), float("inf")))
 @example(mutation=("substitute", ("rank", "value"), 10**400))
 @example(mutation=("flip", 0.5, b"\x80"))
+@example(mutation=("substitute", ("epsilon",), 1e308))  # the float32 smoothing factors overflowed
 def test_compress_mutated_config_exit_code(tiny_suite, tmp_path_factory, capsys, mutation):
     op, where, what = mutation
     if op == "substitute":

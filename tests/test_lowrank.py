@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from skillzip import RankPolicy, ValidationError, split_factors, truncated_svd
+import jacobi_reference
+from skillzip import RankPolicy, ValidationError, lowrank, split_factors, truncated_svd
 from skillzip.lowrank import jacobi_svd_full
 from skillzip.prng import Prng
 from skillzip.tensors import fro_norm
@@ -111,6 +114,90 @@ def test_agreement_with_power_iteration():
         rec1 = _reconstruct(svd)
         rec2 = (u2 * s2[None, :]) @ vt2
         assert fro_norm((rec1 - rec2).astype(np.float32)) <= 1e-4 * max(fro_norm(rec1.astype(np.float32)), 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Row-layout Jacobi against the frozen column-gather loop, bit for bit
+
+JACOBI_KINDS = ("gauss", "zero-column", "repeated-column", "rank-deficient", "orthogonal", "float32")
+
+
+def _jacobi_input(m: int, n: int, kind: str, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-3, 4)
+    if kind == "zero-column":
+        a[:, rng.integers(n)] = (0.0, -0.0)[rng.integers(2)]  # signed zeros must come back unchanged
+    elif kind == "repeated-column":
+        a[:, rng.integers(n)] = a[:, rng.integers(n)]
+    elif kind == "rank-deficient":
+        a = a[:, : max(1, n // 2)] @ rng.standard_normal((max(1, n // 2), n))
+    elif kind == "orthogonal":
+        a = np.eye(m, n)[:, rng.permutation(n)] * rng.uniform(0.5, 2.0, n)
+    elif kind == "float32":
+        a = a.astype(np.float32)
+    return a
+
+
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Equal shape, dtype and bytes: signed zeros count."""
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 13).flatmap(lambda n: st.tuples(st.integers(n, 3 * n + 8), st.just(n))),
+    st.sampled_from(JACOBI_KINDS),
+    st.integers(0, 2**32 - 1),
+)
+@example((1, 1), "gauss", 0)
+@example((6, 2), "zero-column", 1)
+@example((9, 3), "repeated-column", 2)
+@example((7, 7), "orthogonal", 3)
+@example((11, 11), "rank-deficient", 4)
+@example((160, 3), "float32", 5)
+def test_jacobi_matches_reference_bits(shape, kind, seed):
+    a = _jacobi_input(*shape, kind, seed)
+    got = lowrank._jacobi_orthogonalize(a)
+    with np.errstate(over="ignore"):  # the frozen loop warns where zeta * zeta overflows
+        want = jacobi_reference.jacobi_orthogonalize(a)
+    assert all(_same_bits(g, w) and g.flags.c_contiguous for g, w in zip(got, want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(lambda n: st.tuples(st.integers(n, 2 * n + 8), st.just(n))),
+    st.booleans(),
+    st.sampled_from(JACOBI_KINDS),
+    st.integers(0, 2**32 - 1),
+)
+@example((9, 9), True, "zero-column", 0)  # zeta * zeta overflows: t must come out +-0 without a warning
+def test_jacobi_svd_full_matches_reference_bits(shape, wide, kind, seed):
+    """Tall and wide inputs through the whole decomposition: u, sigma and vt
+    keep their bits when the reference loop is swapped in."""
+    w = _jacobi_input(*shape, kind, seed)
+    w = w.T.copy() if wide else w
+    got = jacobi_svd_full(w)
+    with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore"):
+        patch.setattr(lowrank, "_jacobi_orthogonalize", jacobi_reference.jacobi_orthogonalize)
+        want = jacobi_svd_full(w)
+    assert all(_same_bits(g, r) for g, r in zip(got, want))
+
+
+def test_round_robin_rounds_cached_read_only():
+    rounds = lowrank._round_robin_rounds(7)
+    assert rounds is lowrank._round_robin_rounds(7)
+    assert all(not p.flags.writeable and not q.flags.writeable for p, q in rounds)
+    assert [(p.tolist(), q.tolist()) for p, q in rounds] == [
+        (p.tolist(), q.tolist()) for p, q in jacobi_reference.round_robin_rounds(7)
+    ]
+
+
+def test_sketch_test_matrix_drawn_once_per_shape():
+    omega = lowrank._sketch_test_matrix(200, 160, 16)
+    assert omega is lowrank._sketch_test_matrix(200, 160, 16)
+    assert not omega.flags.writeable and omega.shape == (160, 16) and omega.dtype == np.float64
+    with pytest.raises(ValueError):
+        omega[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ the benchmark's span-tracing patch points."""
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -69,3 +70,41 @@ def test_benchmark_trace_sees_one_backbone_matmul_per_batch():
     assert not tracer.missing
     assert names.count("tensors.matmul") == 1
     assert names.count("kernel.forward_quantized") >= 1
+
+
+def _perfbench_record(workload, seed, op_ms, sha, trace=0):
+    metrics = {"setup_s": 0.02, "op_ms_p50": op_ms, "rel_error": 0.01, "compression_ratio": 15.0, "peak_rss_mb": 90.0}
+    units = {"setup_s": "s", "op_ms_p50": "ms", "rel_error": "ratio", "compression_ratio": "ratio", "peak_rss_mb": "MB"}
+    context = {
+        "workload": workload, "seed": seed, "seconds": 20.0, "trace": trace, "nproc": 2, "python": "3.11.7",
+        "numpy": "2.4.6", "blas": {"name": "scipy-openblas", "version": "0.3.31"}, "blas_threads": 2, "pack_sha256": sha,
+    }
+    result = {"correct": True, "attempted": 8, "failed": 0, "metrics": {k: {"value": v, "unit": units[k]} for k, v in metrics.items()}}
+    return {"context": context, "report": [], "samples": {}, "result": result}
+
+
+def test_bench_summary_on_synthetic_records(tmp_path):
+    """Two runs a side: medians, IQRs, ratios, pairs and the pack hashes come
+    out of scripts/bench_summary.py as computed by hand; traced records are
+    left out."""
+    for side, op_ms in (("parent", (2000.0, 3000.0)), ("change", (1000.0, 1200.0))):
+        for run, value in enumerate(op_ms):
+            out = tmp_path / side / f"pair{run}" / "_out"
+            out.mkdir(parents=True)
+            record = _perfbench_record("compress-exact", 1 + run, value, f"sha{run}")
+            (out / "compress-exact-trace0.json").write_text(json.dumps(record))
+        traced = _perfbench_record("compress-exact", 1, 1.0, "sha0", trace=1)
+        (tmp_path / side / "traced.json").write_text(json.dumps(traced))
+    dest = tmp_path / "BENCH.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--out", str(dest)]
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_summary.py"), *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    entry = json.loads(dest.read_text())["compress-exact"]
+    assert entry["pairs"] == 2 and entry["pairs_change_faster"] == 2 and entry["pack_sha256_equal"]
+    assert entry["parent"]["runs"] == 2 and entry["parent"]["seeds"] == [1, 2]
+    assert entry["parent"]["metrics"]["op_ms_p50"] == {"median": 2500.0, "iqr": 500.0, "unit": "ms"}
+    assert entry["change"]["metrics"]["op_ms_p50"] == {"median": 1100.0, "iqr": 100.0, "unit": "ms"}
+    assert entry["change_over_parent_median"]["op_ms_p50"] == pytest.approx(0.44)
+    assert entry["change"]["pack_sha256"] == {"1": ["sha0"], "2": ["sha1"]}
+    assert entry["change"]["op_ms_p50_runs"] == [[1, 1000.0], [2, 1200.0]]
+    assert entry["parent"]["context"].startswith("nproc 2, Python 3.11.7, numpy 2.4.6, scipy-openblas 0.3.31")
