@@ -31,9 +31,9 @@ __all__ = [
     "Batch",
     "CompiledSkillLayer",
     "CompressionResult",
+    "FormatError",
     "ForwardDiag",
     "ForwardRequest",
-    "FormatError",
     "Manifest",
     "MergePlan",
     "PipelineConfig",
@@ -45,9 +45,9 @@ __all__ = [
     "RoutingError",
     "ScaleDescriptor",
     "ShapeError",
+    "SkillRegistry",
     "Skillpack",
     "SkillzipError",
-    "SkillRegistry",
     "SvdResult",
     "TaskDelta",
     "Toggles",

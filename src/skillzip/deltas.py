@@ -20,9 +20,6 @@ class TaskDelta:
     task_id: str
     layers: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def layer_names(self) -> list[str]:
-        return list(self.layers.keys())
-
 
 @dataclass(frozen=True)
 class MergePlan:
@@ -47,10 +44,10 @@ class MergePlan:
 
 
 def _check_same_layers(deltas: list[TaskDelta]) -> list[str]:
-    names = deltas[0].layer_names()
+    names = list(deltas[0].layers)
     name_set = set(names)
     for d in deltas[1:]:
-        if set(d.layer_names()) != name_set:
+        if set(d.layers) != name_set:
             raise ShapeError(f"delta {d.task_id!r} has a different layer set")
         for n in names:
             if d.layers[n].shape != deltas[0].layers[n].shape:
@@ -105,7 +102,7 @@ def recenter(deltas: list[TaskDelta], shared: TaskDelta) -> tuple[TaskDelta, lis
     """
     _check_same_layers([shared, *deltas])
     residuals = [
-        TaskDelta(d.task_id, {n: (d.layers[n] - shared.layers[n]).astype(np.float32) for n in d.layer_names()})
+        TaskDelta(d.task_id, {n: (d.layers[n] - shared.layers[n]).astype(np.float32) for n in d.layers})
         for d in deltas
     ]
     return TaskDelta("shared", dict(shared.layers)), residuals

@@ -17,9 +17,8 @@ from functools import partial
 import numpy as np
 
 from . import bench
-from .deltas import TaskDelta
-from .errors import ValidationError
-from .kernel import ForwardDiag, forward_quantized
+from .errors import ShapeError, ValidationError
+from .kernel import ForwardDiag, forward_full, forward_quantized
 from .lowrank import split_factors, truncated_svd
 from .packio import Skillpack, compression_ratio
 from .pipeline import PipelineConfig, compress
@@ -136,8 +135,7 @@ def total_delta_error(
         for name, layer in pack.layers.items():
             x = eval_x[name]
             ref = matmul(x, (tuned[task_id][name] - base[name]).astype(np.float32))
-            folded = (backbone[name] - base[name]).astype(np.float32)
-            approx = matmul(x, folded) + forward_quantized(layer, x)
+            approx = forward_full((backbone[name] - base[name]).astype(np.float32), layer, x)
             signal = fro_norm(ref)
             err = fro_norm(ref - approx)
             err_sq += err**2
@@ -217,20 +215,19 @@ def run_baseline(
 # Delta similarity diagnostics
 
 
-def delta_similarity(a: TaskDelta | dict[str, np.ndarray], b: TaskDelta | dict[str, np.ndarray]) -> tuple[float, float]:
+def delta_similarity(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> tuple[float, float]:
     """(cosine, sign consistency) over the flattened concatenation of layers.
 
     The cosine uses every element; sign consistency averages sign(a)*sign(b)
-    over positions where both are nonzero.
+    over positions where both are nonzero. Layer names and shapes must match.
     """
-    la = a.layers if isinstance(a, TaskDelta) else a
-    lb = b.layers if isinstance(b, TaskDelta) else b
-    if set(la) != set(lb):
-        raise ValidationError("deltas cover different layer sets")
-    flat_a = np.concatenate([la[n].reshape(-1).astype(np.float64) for n in sorted(la)])
-    flat_b = np.concatenate([lb[n].reshape(-1).astype(np.float64) for n in sorted(lb)])
-    if flat_a.shape != flat_b.shape:
-        raise ValidationError("deltas have different total sizes")
+    if set(a) != set(b) or not a:
+        raise ValidationError("deltas must cover the same, non-empty layer set")
+    for n in a:
+        if a[n].shape != b[n].shape:
+            raise ShapeError(f"layer {n!r}: {a[n].shape} vs {b[n].shape}")
+    flat_a = np.concatenate([a[n].reshape(-1).astype(np.float64) for n in sorted(a)])
+    flat_b = np.concatenate([b[n].reshape(-1).astype(np.float64) for n in sorted(b)])
     na, nb = np.linalg.norm(flat_a), np.linalg.norm(flat_b)
     cosine = float(flat_a @ flat_b / (na * nb)) if na > 0 and nb > 0 else 0.0
     both = (flat_a != 0) & (flat_b != 0)

@@ -28,10 +28,6 @@ class SynthSuite:
     calib: dict[str, np.ndarray]  # layer -> (T, C_i)
     eval_x: dict[str, np.ndarray]  # layer -> (T, C_i)
 
-    @property
-    def layer_names(self) -> list[str]:
-        return sorted(self.base.keys())
-
 
 def _low_rank(rng: Prng, c_in: int, c_out: int, rank: int, scale: float, decay: float = 1.0) -> np.ndarray:
     """Sum of `rank` outer products; component j is scaled by decay^j."""

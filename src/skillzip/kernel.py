@@ -5,16 +5,17 @@ low-rank factors plus the scales needed to run
 
     y  =  diag(s_a * mid * s_x) . (X_hat A_hat -> int8) B_hat . diag(s_b)
 
-entirely in integers between the outer scale applications:
+entirely in integers between the outer scale applications. Each stage
+exists once, and calibration and serving run the same ones:
 
-    1. activations are multiplied by the reciprocal smoothing vector and
-       quantized by `quant.quantize_codes`, the one quantization rule: each
-       row (per token) or each request's block of rows (per-tensor X) is a
-       group with its own float32 scale;
-    2. first integer matmul accumulates exactly (the int32 guarantee);
-    3. the accumulator is requantized to int8 through one per-tensor
-       scalar (the only scale permitted between the two matmuls);
-    4. second integer matmul, again exact;
+    1. activations are smoothed (serving multiplies by the stored 1/s,
+       calibration divides by s) and quantized by `quant.quantize_codes`:
+       each row (per token) or each request's block of rows (per-tensor X)
+       is a group with its own float32 scale;
+    2. `gemm_i8_i32`, the first integer matmul, accumulates exactly;
+    3. `requant_mid` requantizes the accumulator to int8 codes through one
+       per-tensor scalar (the only scale permitted between the matmuls);
+    4. `gemm_i8_i32` again for the second integer matmul;
     5. all remaining scales multiply along the outer dimensions: a row
        factor (activation scales times the scalars), then per-channel
        B scales when B has them.
@@ -23,8 +24,7 @@ Codes and accumulators stay float64 integers and the integer matmuls run
 through float64 BLAS: every partial product and sum is an integer far
 below 2^53, so the result is exact, equals the int32 product while
 K <= MAX_CONTRACTION, and does not depend on the reduction order, which
-makes the whole path bit-deterministic. `gemm_i8_i32` and `requant_mid`
-return the int32 and int8 grids.
+makes the whole path bit-deterministic.
 
 The shared backbone runs in float through the matmul oracle; a layer's
 forward adds the integer-path output on top (or nothing when no skillpack
@@ -43,7 +43,6 @@ from .quant import (
     PER_TENSOR,
     QuantConfig,
     QuantGrid,
-    ScaleDescriptor,
     calibration_hessian,
     gptq_refine,
     quantize,
@@ -112,27 +111,35 @@ class CompiledSkillLayer:
         return float(self.a_hat.scale.scales)
 
 
-def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of two float64 integer code grids (see module notes)."""
+def gemm_i8_i32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact product of two integer code grids as float64 codes; equals the
+    int32 product while K <= MAX_CONTRACTION (see module notes)."""
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"gemm shape mismatch: {a.shape} x {b.shape}")
     if a.shape[1] > MAX_CONTRACTION:
         raise ShapeError(f"contraction dimension {a.shape[1]} exceeds the int32 guarantee")
-    return a @ b
+    return np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
 
 
-def gemm_i8_i32(a: QuantGrid, b: QuantGrid) -> np.ndarray:
-    """Integer matmul of two code grids, exact int32 accumulation."""
-    return _gemm(a.codes.astype(np.float64), b.codes.astype(np.float64)).astype(np.int32)
-
-
-def requant_mid(acc: np.ndarray, mid_scale: float) -> QuantGrid:
-    """Truncate an int32 accumulator to int8 through one per-tensor scale."""
+def requant_mid(acc1: np.ndarray, mid_scale: float, diag: ForwardDiag | None = None) -> np.ndarray:
+    """The one scale between the GEMMs: acc1 / mid_scale rounded to int8
+    codes (float64). `diag` counts the clamped codes and records the scale."""
     if not (mid_scale > 0):
         raise ValidationError("mid requant scale must be positive")
-    codes = np.asarray(acc, dtype=np.float64) / float(mid_scale)
+    codes = acc1 / mid_scale
+    if diag is not None:
+        diag.mid_saturated += count_clamped(codes, 127)
+        diag.inter_gemm_scales.append(float(mid_scale))
     round_half_away(codes, 127)
-    return QuantGrid(codes.astype(np.int8), 8, ScaleDescriptor(PER_TENSOR, np.float32(mid_scale)))
+    return codes
+
+
+def _smoothed_gemm1(
+    x_s: np.ndarray, a_hat: QuantGrid, config: QuantConfig, row_blocks: list[int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quantize smoothed activations and run GEMM 1: (acc1, X scales)."""
+    x_codes, x_scales = quantize_codes(x_s, config.bits_x, config.gran_x, row_blocks)
+    return gemm_i8_i32(x_codes, a_hat.codes), x_scales
 
 
 def forward_quantized(
@@ -149,15 +156,8 @@ def forward_quantized(
     if x.ndim != 2 or x.shape[1] != layer.c_in:
         raise ShapeError(f"activations must be T x {layer.c_in}, got {x.shape}")
     x_s = np.asarray(x, dtype=np.float32) * layer.smooth_inv
-    x_codes, x_scales = quantize_codes(x_s, layer.config.bits_x, layer.config.gran_x, row_blocks)
-
-    acc1 = _gemm(x_codes, layer.a_hat.codes.astype(np.float64))
-    mid_codes = acc1 / layer.mid_scale
-    if diag is not None:
-        diag.mid_saturated += count_clamped(mid_codes, 127)
-        diag.inter_gemm_scales.append(float(layer.mid_scale))
-    round_half_away(mid_codes, 127)
-    acc2 = _gemm(mid_codes, layer.b_hat.codes.astype(np.float64))
+    acc1, x_scales = _smoothed_gemm1(x_s, layer.a_hat, layer.config, row_blocks)
+    acc2 = gemm_i8_i32(requant_mid(acc1, layer.mid_scale, diag), layer.b_hat.codes)
 
     b_scale = layer.b_hat.scale
     scalar = layer.s_a * layer.mid_scale
@@ -211,11 +211,7 @@ def compile_layer(
     a_hat = quantize(np.asarray(a_fp, dtype=np.float32), config.bits_a, PER_TENSOR)
     b_hat = quantize(np.asarray(b_fp, dtype=np.float32), config.bits_b, config.gran_b)
 
-    acc1 = None
-    if x_calib is not None:
-        x_s = x_calib.astype(np.float32) / smooth
-        x_codes, _ = quantize_codes(x_s, config.bits_x, config.gran_x, None)
-        acc1 = _gemm(x_codes, a_hat.codes.astype(np.float64))
+    acc1 = None if x_calib is None else _smoothed_gemm1(x_calib.astype(np.float32) / smooth, a_hat, config)[0]
 
     if use_gptq:
         if acc1 is None:
@@ -228,10 +224,9 @@ def compile_layer(
             raise ValidationError("need calibration activations or an explicit mid scale")
         mid_scale = calibrate_mid_scale(acc1)
 
-    smooth_inv = (1.0 / smooth.astype(np.float64)).astype(np.float32)
     return CompiledSkillLayer(
         name=name,
-        smooth_inv=smooth_inv,
+        smooth_inv=(1.0 / smooth.astype(np.float64)).astype(np.float32),
         a_hat=a_hat,
         b_hat=b_hat,
         mid_scale=float(mid_scale),

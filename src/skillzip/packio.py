@@ -231,7 +231,7 @@ def _parse_layer(payload: memoryview, context: str) -> tuple[str, CompiledSkillL
     cur.end()
 
     try:
-        config = QuantConfig(bits_x=bits_x, bits_a=bits_a, bits_b=bits_b, gran_x=_GRAN_NAMES[gran_x_code], gran_b=b_gran)
+        config = QuantConfig(bits_x=bits_x, bits_a=bits_a, bits_b=bits_b, gran_x=_GRAN_NAMES[gran_x_code], gran_b=_GRAN_NAMES[gran_b_code])
         a_hat = QuantGrid(a_codes, bits_a, ScaleDescriptor(PER_TENSOR, np.float32(a_scale)))
         b_scales = np.float32(b_values[0]) if b_gran == PER_TENSOR else b_values.astype(np.float32)
         b_hat = QuantGrid(b_codes, bits_b, ScaleDescriptor(b_gran, b_scales))

@@ -217,7 +217,7 @@ def compress(
     packs: dict[str, Skillpack] = {}
     for residual in residuals:
         layers = {}
-        for layer_name in sorted(residual.layer_names()):
+        for layer_name in sorted(residual.layers):
             try:
                 layers[layer_name] = compress_layer_delta(
                     layer_name,

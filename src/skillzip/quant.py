@@ -13,9 +13,9 @@ The rule, fixed on purpose, lives once in `quantize_codes` and
   never -0.0.
 
 `quantize` builds the A and B grids on it, `kernel` quantizes activations
-per token or per request with it, `kernel.requant_mid` and `gptq_refine`
-round against their own fixed scales with `round_half_away`; `count_clamped`
-counts the mid clamps when `forward_quantized` reports them.
+per token or per request with it; the forward's mid step `kernel.requant_mid`
+and `gptq_refine` round against fixed scales with `round_half_away`, and
+`count_clamped` counts the mid clamps for a `ForwardDiag`.
 
 Granularity is constrained by where scales can be applied around an integer
 matmul: activations are per-token or per-tensor (row side), the mid factor

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from skillzip import QuantConfig, Skillpack, compile_layer, read_archive, read_skillpack
+from skillzip import QuantConfig, Skillpack, compile_layer, read_archive, read_skillpack, write_archive
 from skillzip.cli import main
 from skillzip.packio import serialize_skillpack
 from skillzip.pipeline import PipelineConfig
@@ -229,6 +229,18 @@ def test_format_error_exit_code(tmp_path):
         ]
     )
     assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "entries_a, entries_b",
+    [([("l0", np.ones((2, 3), dtype=np.float32))], [("l0", np.ones((3, 2), dtype=np.float32))]), ([], [])],
+    ids=["transposed-layer", "no-layers"],
+)
+def test_diag_malformed_deltas_exit_code(tmp_path, entries_a, entries_b):
+    a, b = tmp_path / "a.ftz", tmp_path / "b.ftz"
+    write_archive(a, entries_a)
+    write_archive(b, entries_b)
+    assert main(["diag", "--delta-a", str(a), "--delta-b", str(b)]) == 2
 
 
 def test_routing_error_exit_code(fixture_dir, tmp_path):

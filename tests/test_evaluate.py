@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from skillzip import TaskDelta, ValidationError
+from skillzip import ShapeError, ValidationError
 from skillzip.evaluate import BASELINES, delta_similarity, run_baseline
 from skillzip.fixtures import make_suite
 from skillzip.pipeline import PipelineConfig
@@ -122,13 +122,17 @@ def test_similarity_orthogonal_pair():
     assert abs(cosine) <= 1e-6
 
 
-def test_similarity_accepts_task_deltas():
-    rng = Prng(54)
-    d = TaskDelta("t", {"a": rng.uniform_matrix(3, 3, -1, 1)})
-    cosine, sign = delta_similarity(d, d)
-    assert cosine == pytest.approx(1.0, abs=1e-9)
-
-
 def test_similarity_layer_mismatch():
     with pytest.raises(ValidationError):
         delta_similarity({"a": np.ones((1, 1), dtype=np.float32)}, {"b": np.ones((1, 1), dtype=np.float32)})
+    with pytest.raises(ValidationError):
+        delta_similarity({}, {})
+
+
+def test_similarity_layer_shape_mismatch():
+    """Equal names and total size are not enough: a transposed layer, or
+    sizes swapped between layers, would otherwise score cosine 1."""
+    with pytest.raises(ShapeError):
+        delta_similarity({"a": np.ones((2, 3))}, {"a": np.ones((3, 2))})
+    with pytest.raises(ShapeError):
+        delta_similarity({"a": np.ones((1, 2)), "b": np.ones((1, 4))}, {"a": np.ones((1, 4)), "b": np.ones((1, 2))})

@@ -19,63 +19,66 @@ from skillzip import (
     quantize,
     requant_mid,
 )
-from skillzip import kernel
 from skillzip.fixtures import outlier_activations
 from skillzip.kernel import MAX_CONTRACTION, calibrate_mid_scale
-from skillzip.quant import PER_CHANNEL, PER_TENSOR, PER_TOKEN, count_clamped, quantize_codes, round_half_away
+from skillzip.quant import PER_CHANNEL, PER_TENSOR, PER_TOKEN, count_clamped, quantize_codes
 from skillzip.prng import Prng
 from skillzip.tensors import fro_norm, matmul
 from exact_case import build_exact_case
+import kernel_reference
 import quant_reference as ref
 
 
-def _grid(values, bits=8, gran="per-tensor", scale=1.0):
-    codes = np.asarray(values, dtype=np.int8)
-    return QuantGrid(codes, bits, ScaleDescriptor(gran, np.float32(scale)))
-
-
 def test_gemm_hand_case():
-    acc = gemm_i8_i32(_grid([[1, 2]]), _grid([[3], [4]]))
-    assert acc.dtype == np.int32
-    assert acc.tolist() == [[11]]
+    acc = gemm_i8_i32(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
+    assert acc.dtype == np.float64
+    assert acc.tolist() == [[11.0]]
 
 
 def test_gemm_closed_form_peak():
-    a = _grid(np.full((1, 256), 127))
-    b = _grid(np.full((256, 1), 127))
+    """int8 code grids (A and B as stored) are widened before the product."""
+    a = np.full((1, 256), 127, dtype=np.int8)
+    b = np.full((256, 1), 127, dtype=np.int8)
     acc = gemm_i8_i32(a, b)
     assert acc.tolist() == [[127 * 127 * 256]]  # 4,129,024 fits int32
 
 
 def test_gemm_identity_widens():
-    eye = _grid(np.eye(3, dtype=np.int8))
-    m = _grid([[1, -2, 3], [4, 5, -6], [7, -8, 9]])
-    assert np.array_equal(gemm_i8_i32(eye, m), m.codes.astype(np.int32))
+    eye = np.eye(3, dtype=np.int8)
+    m = np.array([[1, -2, 3], [4, 5, -6], [7, -8, 9]], dtype=np.int8)
+    acc = gemm_i8_i32(eye, m)
+    assert acc.dtype == np.float64
+    assert np.array_equal(acc, m)
 
 
 def test_gemm_shape_mismatch():
     with pytest.raises(ShapeError):
-        gemm_i8_i32(_grid([[1, 2]]), _grid([[1, 2]]))
+        gemm_i8_i32(np.ones((1, 2)), np.ones((1, 2)))
 
 
 def test_requant_exact_multiples():
-    acc = (np.arange(-127, 128) * 4).astype(np.int32).reshape(1, -1)
+    acc = (np.arange(-127, 128) * 4.0).reshape(1, -1)
     q = requant_mid(acc, 4.0)
-    assert np.array_equal(q.codes[0], np.arange(-127, 128, dtype=np.int8))
+    assert q.dtype == np.float64
+    assert np.array_equal(q[0], np.arange(-127, 128))
 
 
 def test_requant_saturates():
-    acc = np.array([[1000, -1000]], dtype=np.int32)
-    q = requant_mid(acc, 1.0)
-    assert q.codes.tolist() == [[127, -127]]
+    acc = np.array([[1000.0, -1000.0, 126.0]])
+    diag = ForwardDiag()
+    q = requant_mid(acc, 1.0, diag)
+    assert q.tolist() == [[127, -127, 126]]
+    assert diag.mid_saturated == 2
+    assert diag.inter_gemm_scales == [1.0]
+    with pytest.raises(ValidationError):
+        requant_mid(acc, 0.0)
 
 
 def test_requant_bound_when_unsaturated():
     rng = Prng(80)
-    acc = (rng.uniform_matrix(6, 6, -500.0, 500.0)).astype(np.int32)
+    acc = np.trunc(rng.uniform_matrix(6, 6, -500.0, 500.0).astype(np.float64))
     mid = 5.0
-    q = requant_mid(acc, mid)
-    back = q.codes.astype(np.float64) * mid
+    back = requant_mid(acc, mid) * mid
     assert (np.abs(back - acc) <= mid / 2 + 1e-9).all()
 
 
@@ -420,12 +423,12 @@ def test_requant_matches_reference(rows, cols, mid_scale, halves):
     the reference."""
     acc = np.array(halves[: rows * cols], dtype=np.float64).reshape(rows, cols) * (mid_scale / 2)
     want, want_sat = ref.requant(acc, mid_scale)
-    codes = acc / mid_scale
-    assert count_clamped(codes, 127) == want_sat
-    round_half_away(codes, 127)
+    diag = ForwardDiag()
+    codes = requant_mid(acc, mid_scale, diag)
+    assert diag.mid_saturated == want_sat
+    assert diag.inter_gemm_scales == [mid_scale]
     assert np.array_equal(codes, want)
     assert not np.signbit(codes[codes == 0]).any()
-    assert requant_mid(acc, mid_scale).codes.tobytes() == want.astype(np.int8).tobytes()
 
 
 
@@ -459,17 +462,12 @@ def test_gemm_exact_at_max_contraction(bits):
     b = np.ascontiguousarray(_extreme_codes(bits, MAX_CONTRACTION).T)
     want = a.astype(np.int64) @ b.astype(np.int64)
     assert np.abs(want).max() == MAX_CONTRACTION * ((1 << (bits - 1)) - 1) ** 2
-    got = gemm_i8_i32(QuantGrid(a, bits, ScaleDescriptor("per-tensor", np.float32(1.0))),
-                      QuantGrid(b, bits, ScaleDescriptor("per-tensor", np.float32(1.0))))
-    assert got.dtype == np.int32
+    got = gemm_i8_i32(a, b)
+    assert got.dtype == np.float64
     assert np.array_equal(got, want)
-    acc = kernel._gemm(a.astype(np.float64), b.astype(np.float64))
-    assert acc.dtype == np.float64
-    assert np.array_equal(acc, want)
+    assert gemm_i8_i32(a.astype(np.float64), b.astype(np.float64)).tobytes() == got.tobytes()
     mid_scale = float(np.abs(want).max()) / 127.0
-    mid = requant_mid(got, mid_scale)
-    assert mid.codes.dtype == np.int8
-    assert np.array_equal(mid.codes, ref.round_half_away(want / mid_scale))
+    assert np.array_equal(requant_mid(got, mid_scale), ref.round_half_away(want / mid_scale))
 
 
 def _max_contraction_layer(c_in):
@@ -498,10 +496,76 @@ def test_forward_exact_at_max_contraction():
 
 def test_contraction_past_the_guarantee_rejected():
     k = MAX_CONTRACTION + 1
-    grid = QuantGrid(np.ones((1, k), dtype=np.int8), 8, ScaleDescriptor("per-tensor", np.float32(1.0)))
-    column = QuantGrid(np.ones((k, 1), dtype=np.int8), 8, ScaleDescriptor("per-tensor", np.float32(1.0)))
     with pytest.raises(ShapeError, match="int32 guarantee"):
-        gemm_i8_i32(grid, column)
+        gemm_i8_i32(np.ones((1, k)), np.ones((k, 1)))
     layer = _max_contraction_layer(k)
     with pytest.raises(ShapeError, match="int32 guarantee"):
         forward_quantized(layer, np.ones((1, k), dtype=np.float32))
+
+
+# ---------------------------------------------------------------------------
+# Calibration and serving against the frozen reference kernel
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 4), st.integers(1, 7)),
+    bits=st.tuples(st.sampled_from([4, 8]), st.sampled_from([4, 8]), st.sampled_from([4, 8])),
+    gran_x=st.sampled_from([PER_TOKEN, PER_TENSOR]),
+    gran_b=st.sampled_from([PER_CHANNEL, PER_TENSOR]),
+    use_gptq=st.booleans(),
+    blocks=st.one_of(st.none(), st.lists(st.integers(0, 3), min_size=1, max_size=5)),
+    gains=st.lists(st.sampled_from([0.25, 1.0, 8.0]), min_size=5, max_size=5),
+)
+def test_stages_match_reference_kernel(seed, shape, bits, gran_x, gran_b, use_gptq, blocks, gains):
+    """compile_layer's grids and mid scale, and forward_quantized's output
+    and diagnostics, equal the reference bit for bit: per-token and
+    per-tensor X (row blocks of 0 to 3 rows, each at its own magnitude so
+    clamps happen), 4/8-bit X, A and B, per-channel and per-tensor B, GPTQ
+    on and off."""
+    c_in, rank, c_out = shape
+    rng = Prng(seed)
+    smooth = rng.uniform_matrix(1, c_in, 0.25, 4.0).reshape(-1)
+    a, b = rng.gauss_matrix(c_in, rank), rng.gauss_matrix(rank, c_out)
+    x_calib = outlier_activations(rng, 6, c_in, 2.0, [c_in - 1], 30.0)
+    config = QuantConfig(*bits, gran_x=gran_x, gran_b=gran_b)
+
+    layer = compile_layer("l", smooth, a, b, config, x_calib=x_calib, use_gptq=use_gptq)
+    want_layer = kernel_reference.compile_layer(smooth, a, b, config, x_calib, use_gptq)
+    assert np.float64(layer.mid_scale).tobytes() == np.float64(want_layer.mid_scale).tobytes()
+    assert layer.smooth_inv.tobytes() == want_layer.smooth_inv.tobytes()
+    for got, want in ((layer.a_hat, want_layer.a_hat), (layer.b_hat, want_layer.b_hat)):
+        assert got.codes.tobytes() == want.codes.tobytes()
+        assert got.scale.scales.tobytes() == want.scale.scales.tobytes()
+
+    sizes = blocks or [4]
+    x = np.zeros((sum(sizes), c_in), dtype=np.float32)
+    start = 0
+    for size, gain in zip(sizes, gains):
+        if size:
+            x[start : start + size] = rng.uniform_matrix(size, c_in, -2.0 * gain, 2.0 * gain)
+        start += size
+    diag = ForwardDiag()
+    out = forward_quantized(layer, x, diag=diag, row_blocks=blocks)
+    want_out, want_sat, want_scales = kernel_reference.forward_quantized(layer, x, blocks)
+    assert out.tobytes() == want_out.tobytes()
+    assert diag.mid_saturated == want_sat
+    assert diag.inter_gemm_scales == want_scales
+
+
+def test_calibration_divides_and_serving_multiplies():
+    """x / 7 lands on a rounding tie that x * fl32(1/7) misses by one ulp, so
+    the calibrated mid scale pins calibration to dividing by s and the
+    served output pins serving to multiplying by the stored 1/s."""
+    smooth = np.float32([7.0, 7.0])
+    x = np.float32([[127 * 7.0, 0.5 * 7.0]])
+    a, b = np.ones((2, 1), dtype=np.float32), np.ones((1, 1), dtype=np.float32)
+    config = QuantConfig(gran_b=PER_TENSOR)
+    layer = compile_layer("l", smooth, a, b, config, x_calib=x)
+    want = kernel_reference.compile_layer(smooth, a, b, config, x, False)
+    assert layer.mid_scale == want.mid_scale == 128.0  # x codes (127, 1), not (127, 0)
+    want_out, _, _ = kernel_reference.forward_quantized(layer, x)
+    assert forward_quantized(layer, x).tobytes() == want_out.tobytes()
+    divided, multiplied = (quantize_codes(x_s, 8, PER_TOKEN, None)[0] for x_s in (x / smooth, x * layer.smooth_inv))
+    assert divided.tolist() == [[127, 1]] and multiplied.tolist() == [[127, 0]]

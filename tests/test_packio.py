@@ -241,10 +241,13 @@ def test_crafted_pack_baseline_reads(tmp_path):
         ({packio._TAG_MID_SCALE: b"\x00\x00\x80\x3f"}, b"math", (8, 8, 8)),
         ({packio._TAG_ROTATION: b"\x00" * 8}, b"math", (8, 8, 8)),
         ({packio._TAG_A_CODES: b"\x00"}, b"math", (8, 4, 4)),
+        ({packio._TAG_GRANS: b"\x01\x00"}, b"math", (8, 8, 8)),
+        ({packio._TAG_GRANS: b"\x01\x01"}, b"math", (8, 8, 8)),
     ],
     ids=[
         "task-utf8", "name-utf8", "dims-3-bytes", "rank-empty", "bits-2-bytes", "grans-3-bytes",
         "a-scale-3-bytes", "b-scales-empty", "b-scales-ragged", "mid-4-bytes", "rotation-8-bytes", "int4-short",
+        "grans-b-per-tensor-vs-per-channel-scales", "grans-b-per-token",
     ],
 )
 def test_crafted_pack_rejected_with_format_error(tmp_path, fields, task, bits):

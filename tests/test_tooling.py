@@ -1,5 +1,5 @@
-"""Guards for code outside the library that calls into it: the demos and
-the benchmark's span-tracing patch points."""
+"""Guards for code outside the library that calls into it: the demos, the
+public names and the benchmark's span-tracing patch points."""
 
 import importlib
 import importlib.util
@@ -29,6 +29,15 @@ def test_demo_runs(demo):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_resolve_and_are_sorted():
+    """A removed or renamed name cannot linger in `skillzip.__all__`."""
+    import skillzip
+
+    missing = [name for name in skillzip.__all__ if not hasattr(skillzip, name)]
+    assert not missing, missing
+    assert skillzip.__all__ == sorted(skillzip.__all__)
 
 
 def test_benchmark_patch_points_resolve():
