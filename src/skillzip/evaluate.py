@@ -208,6 +208,8 @@ def run_baseline(
 ) -> FidelityReport:
     if method not in BASELINES:
         raise ValidationError(f"unknown method {method!r}; available: {', '.join(sorted(BASELINES))}")
+    if not base:
+        raise ValidationError("a baseline needs at least one layer")
     return BASELINES[method](base, tuned_one, calib, eval_x, config)
 
 

@@ -208,6 +208,8 @@ def compile_layer(
     smooth = np.asarray(smooth, dtype=np.float32).reshape(-1)
     if (smooth <= 0).any() or not np.isfinite(smooth).all():
         raise ValidationError("smoothing vector must be positive and finite")
+    if x_calib is not None and (x_calib.ndim != 2 or x_calib.shape[1] != smooth.size):
+        raise ShapeError(f"calibration activations must be T x {smooth.size}, got {x_calib.shape}")
     a_hat = quantize(np.asarray(a_fp, dtype=np.float32), config.bits_a, PER_TENSOR)
     b_hat = quantize(np.asarray(b_fp, dtype=np.float32), config.bits_b, config.gran_b)
 

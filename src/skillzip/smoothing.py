@@ -13,10 +13,19 @@ the square-root split concentrates in the leading ranks. Candidates are
 drawn from a seeded generator; each is scored by the end-to-end quantized
 reconstruction error on calibration activations and the identity is always
 in the pool, so a selected rotation can never score worse than no rotation.
+
+A layer's candidates are drawn in lockstep: one block of Gaussians for a
+chunk of candidates, then one modified Gram-Schmidt over a (count, r, r)
+stack, where each projection step is one stacked vector-vector `np.matmul`
+(one strided BLAS ddot per candidate, the same call a lone candidate's
+`ndarray.dot` makes) and one elementwise multiply and subtract. Every
+rotation is bit-identical to drawing the candidates one after another, and
+`sample_rotation` is the one-candidate case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +39,11 @@ from .tensors import fro_norm, matmul
 DEFAULT_ALPHA = 0.7
 DEFAULT_EPSILON = 1e-5
 DEFAULT_CANDIDATES = 10
-MAX_CANDIDATES = 256  # one block of 256 r x r float64 draws; the SKZ index field is u32
+MAX_CANDIDATES = 256  # bounds one layer's rotation search; the SKZ index field is u32
+# Cap on the float64 bytes of one lockstep chunk's draw block and basis
+# stack (16 r^2 per candidate): all 10 default candidates at r = 64, one
+# at a time from r = 512 on.
+_LOCKSTEP_BYTES = 4 << 20
 
 
 def profile(calib: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -70,49 +83,106 @@ def apply_smooth(x: np.ndarray, w: np.ndarray, s: np.ndarray) -> tuple[np.ndarra
     return x_s, w_s
 
 
-def sample_rotation(prng: Prng, r: int, max_attempts: int = 50) -> np.ndarray:
-    """Random orthogonal R x R matrix from a seeded Gaussian draw.
+def _gram_schmidt(w: np.ndarray, redraw: Callable[[int], np.ndarray], max_attempts: int) -> np.ndarray:
+    """Orthonormal float64 bases q[k] (column i is q[k, :, i]) for the
+    draws w[k, j], candidate k's draw for its column j, in lockstep.
 
     Modified Gram-Schmidt with one reorthogonalization pass; each column's
     leading non-negligible entry is made positive so the same seed gives
-    the same matrix everywhere. Degenerate draws are replaced column by
-    column from the stream, with a bounded number of attempts.
+    the same matrix everywhere. A lone candidate replaces a degenerate
+    column (norm <= 1e-8) with the next r draws, the rest of its own w and
+    then `redraw(r)`, at most `max_attempts` times. In a stack, the first
+    candidate with a degenerate column ends it: only the bases before it
+    are returned, and w, which only a lone retry writes, is left as it was
+    so the caller can rerun the others alone in stream order.
     """
-    if r < 1:
-        raise ValidationError("rotation size must be >= 1")
-    # Columns read r*r draws in stream order; a retry takes the next r, so
-    # once the block runs out the remaining columns continue the stream.
-    draws = prng.gauss_block(r * r)
-    used = 0
-    q = np.empty((r, r), dtype=np.float64)
-    # The dot products stay on the strided views q[:, i]: a contiguous copy
-    # takes BLAS's unit-stride kernel, which sums in another order.
-    basis: list[np.ndarray] = []
-    proj = np.empty(r, dtype=np.float64)
-    multiply, subtract = np.multiply, np.subtract
+    count, r, _ = w.shape
+    lone = count == 1
+    q = np.empty((count, r, r))
+    col = np.empty((count, r))
+    proj = np.empty((count, r))
+    dot = np.empty((count, 1, 1))
+    norms = np.empty(count)
+    matmul, multiply, subtract = np.matmul, np.multiply, np.subtract
     for j in range(r):
         for attempt in range(max_attempts + 1):
-            if used < draws.size:
-                col = draws[used : used + r]
-                used += r
-            else:
-                col = prng.gauss_block(r)
+            if attempt:
+                w[0, j:-1] = w[0, j + 1 :]
+                w[0, -1] = redraw(r)
+            np.copyto(col, w[:, j])
+            # One strided ddot per candidate: q[k, :, i] keeps the stride
+            # r*8 of a lone basis column. A contiguous copy of it, einsum
+            # or a sum reduction would add in another order.
             for _ in range(2):  # MGS with reorthogonalization
-                for qi in basis:
-                    multiply(qi, qi.dot(col), out=proj)
+                for i in range(j):
+                    qi = q[:, :, i]
+                    matmul(qi[:, None, :], col[:, :, None], out=dot)
+                    multiply(qi, dot[:, 0], out=proj)
                     subtract(col, proj, out=col)
-            norm = np.linalg.norm(col)
-            if norm > 1e-8:
+            for k in range(count):
+                norms[k] = np.linalg.norm(col[k])
+            degenerate = np.flatnonzero(norms <= 1e-8)
+            if not degenerate.size:
+                break
+            if not lone:
+                count = int(degenerate[0])
+                w, q, col, norms = w[:count], q[:count], col[:count], norms[:count]
+                proj, dot = proj[:count], dot[:count]
+                if not count:
+                    return q
                 break
         else:
             raise ValidationError("could not draw a full-rank Gaussian basis")
-        col /= norm
-        lead = np.argmax(np.abs(col) > 1e-12 * np.max(np.abs(col)))
-        if col[lead] < 0:
-            col = -col
-        q[:, j] = col
-        basis.append(q[:, j])
-    return q.astype(np.float32)
+        col /= norms[:, None]
+        peak = np.max(np.abs(col), axis=1, keepdims=True)
+        lead = np.argmax(np.abs(col) > 1e-12 * peak, axis=1)
+        np.negative(col, out=col, where=col[np.arange(count), lead][:, None] < 0)
+        q[:, :, j] = col
+    return q
+
+
+def _draw_rotations(prng: Prng, r: int, count: int, max_attempts: int = 50) -> Iterator[np.ndarray]:
+    """`count` random orthogonal float32 (r, r) matrices in stream order.
+
+    Candidate k reads the next r*r Gaussians, column by column, and its
+    retries read on from there. Chunks of candidates take one block of
+    draws and run `_gram_schmidt` in lockstep; when a candidate needs a
+    retry, it and the rest of its chunk rerun alone from its offset in the
+    block, reading past the block into the stream as one call each would.
+    """
+    if not count:
+        return
+    if r < 1:
+        raise ValidationError("rotation size must be >= 1")
+
+    def take(size: int) -> np.ndarray:
+        """The next `size` draws: the rest of the block, then the stream."""
+        nonlocal cursor
+        head = block[cursor : cursor + size]
+        cursor += head.size
+        return np.concatenate([head, prng.gauss_block(size - head.size)])
+
+    per_chunk = max(1, _LOCKSTEP_BYTES // (16 * r * r))
+    for start in range(0, count, per_chunk):
+        n = min(per_chunk, count - start)
+        block = prng.gauss_block(n * r * r)
+        cursor = block.size  # a lone candidate's retries read the stream
+        bases = _gram_schmidt(block.reshape(n, r, r), take, max_attempts)
+        cursor = len(bases) * r * r
+        for basis in bases:
+            yield basis.astype(np.float32)
+        for _ in range(len(bases), n):
+            yield _gram_schmidt(take(r * r).reshape(1, r, r), take, max_attempts)[0].astype(np.float32)
+
+
+def sample_rotation(prng: Prng, r: int, max_attempts: int = 50) -> np.ndarray:
+    """Random orthogonal R x R float32 matrix from a seeded Gaussian draw.
+
+    The same seed gives the same matrix everywhere; degenerate draws are
+    replaced column by column from the stream, with a bounded number of
+    attempts.
+    """
+    return next(_draw_rotations(prng, r, 1, max_attempts))
 
 
 def fold_rotation(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,8 +232,7 @@ def select_rotation(
     reference = matmul(matmul(x_calib, a), b)
 
     best = RotationChoice(np.eye(r, dtype=np.float32), 0, _candidate_loss(a, b, x_calib, reference, config))
-    for idx in range(1, n_candidates + 1):
-        q = sample_rotation(prng, r)
+    for idx, q in enumerate(_draw_rotations(prng, r, n_candidates), start=1):
         a_rot, b_rot = fold_rotation(a, b, q)
         loss = _candidate_loss(a_rot, b_rot, x_calib, reference, config)
         if loss < best.loss:

@@ -163,6 +163,16 @@ def test_baseline_command(fixture_dir, tmp_path):
     assert json.loads(report_json.read_text())["method"] == "bitdelta"
 
 
+@pytest.mark.parametrize("method", ["svd-fp", "bitdelta", "skillzip"])
+def test_baseline_empty_suite_exit_code(tmp_path, capsys, method):
+    empty = tmp_path / "empty.ftz"
+    write_archive(empty, [])
+    files = ["--base", "--tuned", "--calib", "--activations"]
+    rc = main(["baseline", "--method", method, *[part for flag in files for part in (flag, str(empty))]])
+    assert rc == 2
+    assert "at least one layer" in capsys.readouterr().err
+
+
 def test_empty_stream_reports_and_succeeds(fixture_dir, tmp_path, capsys):
     out = tmp_path / "packs"
     assert (

@@ -19,6 +19,7 @@ from skillzip import (
     quantize,
     requant_mid,
 )
+from skillzip import kernel
 from skillzip.fixtures import outlier_activations
 from skillzip.kernel import MAX_CONTRACTION, calibrate_mid_scale
 from skillzip.quant import PER_CHANNEL, PER_TENSOR, PER_TOKEN, count_clamped, quantize_codes
@@ -249,6 +250,20 @@ def test_compile_requires_calibration_or_mid():
     b = np.ones((2, 4), dtype=np.float32)
     with pytest.raises(ValidationError):
         compile_layer("l", np.ones(4, dtype=np.float32), a, b, QuantConfig())
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (3, 3), (4,), (2, 4, 1)])
+def test_compile_rejects_mismatched_calibration_before_compute(shape, monkeypatch):
+    """x_calib must be T x len(smooth); the check comes before quantizing."""
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("quantized before checking x_calib")
+
+    monkeypatch.setattr(kernel, "quantize", no_compute)
+    a = np.ones((4, 2), dtype=np.float32)
+    b = np.ones((2, 4), dtype=np.float32)
+    with pytest.raises(ShapeError, match="calibration activations"):
+        compile_layer("l", np.ones(4, dtype=np.float32), a, b, QuantConfig(), x_calib=np.ones(shape, np.float32))
 
 
 def test_calibrate_mid_scale_zero_acc():

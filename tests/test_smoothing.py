@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skillzip import (
     QuantConfig,
@@ -11,6 +13,7 @@ from skillzip import (
     sample_rotation,
     select_rotation,
 )
+from skillzip import smoothing
 from skillzip.prng import Prng
 from skillzip.tensors import fro_norm, matmul
 
@@ -112,8 +115,10 @@ def test_rotation_deterministic():
     assert a.tobytes() == b.tobytes()
 
 
-def _sample_rotation_per_draw(prng, r, max_attempts=50):
-    """The one-gauss()-per-entry MGS that sample_rotation replaced; oracle."""
+def _sample_rotation_per_draw(prng, r, max_attempts=50, dtype=np.float32):
+    """The one-gauss()-per-entry MGS that sample_rotation replaced; oracle.
+    Its float64 basis (dtype=np.float64) pins the lockstep body before the
+    float32 rounding that hides most last-bit differences."""
     q = np.empty((r, r), dtype=np.float64)
     for j in range(r):
         for attempt in range(max_attempts + 1):
@@ -131,7 +136,7 @@ def _sample_rotation_per_draw(prng, r, max_attempts=50):
         if col[lead] < 0:
             col = -col
         q[:, j] = col
-    return q.astype(np.float32)
+    return q.astype(dtype)
 
 
 class _ScriptedDraws:
@@ -189,6 +194,126 @@ def test_rotation_matches_per_draw_oracle(r):
     b.gauss()  # start with a pending spare
     assert sample_rotation(a, r).tobytes() == _sample_rotation_per_draw(b, r).tobytes()
     assert a._s == b._s and a._gauss_spare == b._gauss_spare
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 140), st.integers(1, 12), st.integers(0, 2**32 - 1), st.data())
+def test_stacked_matmul_is_the_strided_dot(r, count, seed, data):
+    """The lockstep MGS rests on this: a stacked vector-vector matmul over
+    strided (count, 1, r) basis columns makes the same ddot, bit for bit,
+    as each candidate's own ndarray.dot on its column view."""
+    i = data.draw(st.integers(0, r - 1))
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((count, r, r))
+    w = rng.standard_normal((count, r))
+    stacked = np.empty((count, 1, 1))
+    np.matmul(q[:, None, :, i], w[:, :, None], out=stacked)
+    single = np.array([q[k, :, i].dot(w[k]) for k in range(count)])
+    assert stacked.reshape(-1).tobytes() == single.tobytes()
+
+
+def _lockstep_bytes(r, per_chunk):
+    """A chunk cap that fits `per_chunk` candidates of size r."""
+    return 16 * r * r * per_chunk
+
+
+def _assert_lockstep_matches_oracle(seed, r, count, spare):
+    """`count` lockstep rotations equal `count` sequential per-draw calls and
+    leave the same stream state, pending Gaussian included."""
+    a, b = Prng(seed), Prng(seed)
+    if spare:
+        a.gauss()
+        b.gauss()
+    got = list(smoothing._draw_rotations(a, r, count))
+    want = [_sample_rotation_per_draw(b, r) for _ in range(count)]
+    assert [q.tobytes() for q in got] == [q.tobytes() for q in want]
+    assert a._s == b._s and a._gauss_spare == b._gauss_spare
+
+
+@pytest.mark.parametrize("spare", [False, True])
+@pytest.mark.parametrize("count", [1, 2, 10])
+@pytest.mark.parametrize("r", [1, 2, 6, 27, 32, 33, 64])
+def test_lockstep_rotations_match_sequential_oracle(r, count, spare):
+    _assert_lockstep_matches_oracle(900 + r * count, r, count, spare)
+
+
+@pytest.mark.parametrize("r", [4, 33, 64])
+def test_lockstep_float64_bases_match_oracle(r):
+    """Each stacked basis equals a lone per-draw MGS on its own draws in
+    every float64 bit, so the stacked dots add in the lone dots' order."""
+    count = 4
+    w = Prng(960 + r).gauss_block(count * r * r).reshape(count, r, r)
+    got = smoothing._gram_schmidt(w.copy(), None, 50)
+    for k in range(count):
+        want = _sample_rotation_per_draw(_ScriptedDraws(w[k].reshape(-1)), r, dtype=np.float64)
+        assert got[k].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3, 4])
+def test_lockstep_chunks_match_sequential_oracle(per_chunk, monkeypatch):
+    """Chunk edges, including a last chunk that is cut short, change nothing."""
+    monkeypatch.setattr(smoothing, "_LOCKSTEP_BYTES", _lockstep_bytes(9, per_chunk))
+    _assert_lockstep_matches_oracle(950, 9, 10, spare=True)
+
+
+@pytest.mark.parametrize("per_chunk,blocks", [(1, [16, 16, 16]), (2, [32, 16]), (3, [48])])
+def test_lockstep_chunk_size_follows_the_cap(per_chunk, blocks, monkeypatch):
+    """Each chunk takes one block of draws, as many candidates as the cap
+    holds and at least one."""
+    sizes = []
+
+    class Recording(Prng):
+        def gauss_block(self, n):
+            sizes.append(n)
+            return super().gauss_block(n)
+
+    monkeypatch.setattr(smoothing, "_LOCKSTEP_BYTES", _lockstep_bytes(4, per_chunk))
+    list(smoothing._draw_rotations(Recording(7), 4, 3))
+    assert sizes == blocks
+
+
+def test_default_cap_bounds_the_stack():
+    """All 10 default candidates share a chunk at r = 64; at r = 512 each
+    candidate is its own chunk, so 256 candidates never stack up."""
+    assert smoothing._LOCKSTEP_BYTES // _lockstep_bytes(64, 1) >= smoothing.DEFAULT_CANDIDATES
+    assert smoothing._LOCKSTEP_BYTES // _lockstep_bytes(512, 1) <= 1
+
+
+def _candidates_script(r, count, failing):
+    """`count` candidates' draws in stream order; candidate k in `failing`
+    gets a degenerate column at `failing[k] = (degenerate_at, retries)`."""
+    parts = []
+    for k in range(count):
+        if k in failing:
+            parts.append(_script(r, *failing[k]))
+        else:
+            parts.append(np.random.default_rng(7000 + 10 * r + k).standard_normal(r * r))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("per_chunk", [None, 2])
+@pytest.mark.parametrize(
+    "r,count,failing",
+    [
+        (4, 5, {0: (1, 1)}),
+        (4, 5, {2: (2, 2)}),
+        (4, 5, {4: (3, 1)}),
+        (5, 6, {1: (0, 1), 3: (2, 3)}),
+        (3, 4, {0: (2, 1), 1: (1, 2)}),
+    ],
+    ids=["first", "middle", "last", "two", "first-two"],
+)
+def test_lockstep_retry_matches_sequential_oracle(r, count, failing, per_chunk, monkeypatch):
+    """A retry in any candidate reruns it and the rest of its chunk alone:
+    the bytes and the number of draws read equal `count` sequential calls."""
+    if per_chunk is not None:
+        monkeypatch.setattr(smoothing, "_LOCKSTEP_BYTES", _lockstep_bytes(r, per_chunk))
+    values = _candidates_script(r, count, failing)
+    new, old = _ScriptedDraws(values), _ScriptedDraws(values)
+    got = list(smoothing._draw_rotations(new, r, count))
+    want = [_sample_rotation_per_draw(old, r) for _ in range(count)]
+    assert [q.tobytes() for q in got] == [q.tobytes() for q in want]
+    assert new.pos == old.pos == values.size
 
 
 def test_fold_identity_unchanged():
