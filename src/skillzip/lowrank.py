@@ -133,8 +133,15 @@ def _jacobi_orthogonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _complete_column(u: np.ndarray, j: int) -> np.ndarray:
-    """Deterministic unit vector orthogonal to u[:, :j] (for zero triplets)."""
+    """Deterministic unit vector orthogonal to u[:, :j] (for zero triplets).
+
+    The first basis vector whose residual keeps more than half its length is
+    taken; failing that, the one with the longest residual. With u[:, :j]
+    orthonormal the squared residual norms sum to m - j, so the longest is at
+    least sqrt(1 / m) while j < m, even when none reaches 0.5.
+    """
     m = u.shape[0]
+    best, best_norm = None, 0.0
     for k in range(m):
         cand = np.zeros(m, dtype=np.float64)
         cand[k] = 1.0
@@ -143,7 +150,12 @@ def _complete_column(u: np.ndarray, j: int) -> np.ndarray:
         norm = np.linalg.norm(cand)
         if norm > 0.5:
             return cand / norm
-    raise ValidationError("could not complete an orthonormal basis")
+        if norm > best_norm:
+            best, best_norm = cand, norm
+    if best is None or best_norm <= 0.5 / np.sqrt(m):
+        raise ValidationError("could not complete an orthonormal basis")
+    best -= u[:, :j] @ (u[:, :j].T @ best)  # a short residual loses digits: project once more
+    return best / np.linalg.norm(best)
 
 
 def _svd_tall(w: np.ndarray):

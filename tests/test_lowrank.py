@@ -103,6 +103,15 @@ def test_zero_matrix():
     assert np.abs(svd.u.T @ svd.u - np.eye(2)).max() <= 1e-6
 
 
+def test_complete_column_when_no_basis_vector_keeps_half():
+    # Eight columns orthogonal to (1, ..., 1) / 3: projected off them, every e_k
+    # keeps only 1 / 3 of its length, below the 0.5 the first pass accepts.
+    q, _ = np.linalg.qr(np.hstack([np.ones((9, 1)), np.random.default_rng(0).standard_normal((9, 8))]))
+    u = np.hstack([q[:, 1:], np.empty((9, 1))])
+    u[:, 8] = lowrank._complete_column(u, 8)
+    assert np.abs(u.T @ u - np.eye(9)).max() <= 1e-12
+
+
 def test_agreement_with_power_iteration():
     rng = Prng(66)
     for trial in range(5):
@@ -171,6 +180,7 @@ def test_jacobi_matches_reference_bits(shape, kind, seed):
     st.integers(0, 2**32 - 1),
 )
 @example((9, 9), True, "zero-column", 0)  # zeta * zeta overflows: t must come out +-0 without a warning
+@example((9, 9), False, "zero-column", 6)  # no basis vector keeps half its length off the 8 nonzero triplets
 def test_jacobi_svd_full_matches_reference_bits(shape, wide, kind, seed):
     """Tall and wide inputs through the whole decomposition: u, sigma and vt
     keep their bits when the reference loop is swapped in."""
