@@ -8,10 +8,11 @@ Byte layout (little-endian, no padding):
               u32 rows, u32 cols, rows*cols float32 values }
     u32     CRC32 of all preceding bytes
 
-Entry names are unique, nonempty, at most 256 bytes. Shapes are nonempty and
-values finite: the writer refuses anything else with ValidationError and
-the reader with FormatError, so NaN never leaks into the pipeline. Round
-trips are bit-exact.
+Entry names are unique, 1..256 UTF-8 bytes. Shapes are nonempty and values
+finite. `validate_entries` states these rules once: the writer runs it
+before writing and refuses with ValidationError, the reader runs it on what
+it parsed and refuses with FormatError, so NaN never leaks into the
+pipeline. Round trips are bit-exact.
 
 The frame (magic, body, CRC32 of everything before it) is shared with the
 SKZ skillpack container: `seal` builds it, `write_atomic` writes it
@@ -96,12 +97,21 @@ def open_frame(path: str | os.PathLike, magic: bytes) -> Cursor:
     return Cursor(memoryview(data)[len(magic) : -4], spath)
 
 
+def check_name(name: str, limit: int, what: str) -> None:
+    """A stored name must have a UTF-8 form of 1..limit bytes."""
+    try:
+        raw = name.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate has no UTF-8 form
+        raise ValidationError(f"{what} {name!r} is not valid UTF-8") from exc
+    if not 1 <= len(raw) <= limit:
+        raise ValidationError(f"{what} must be 1..{limit} bytes: {name!r}")
+
+
 def validate_entries(entries: list[tuple[str, np.ndarray]]) -> None:
+    """The FTZ rules, for the writer and the reader alike."""
     seen: set[str] = set()
     for name, m in entries:
-        raw = name.encode("utf-8")
-        if not raw or len(raw) > MAX_NAME_BYTES:
-            raise ValidationError(f"entry name must be 1..{MAX_NAME_BYTES} bytes: {name!r}")
+        check_name(name, MAX_NAME_BYTES, "entry name")
         if name in seen:
             raise ValidationError(f"duplicate entry name: {name!r}")
         seen.add(name)
@@ -124,26 +134,19 @@ def write_archive(path: str | os.PathLike, entries: list[tuple[str, np.ndarray]]
 
 
 def read_archive(path: str | os.PathLike) -> list[tuple[str, np.ndarray]]:
-    """Read and validate an FTZ archive; returns entries in stored order."""
+    """Read an FTZ archive; returns entries in stored order. What the writer
+    would refuse raises FormatError."""
     cur = open_frame(path, MAGIC)
-    where = cur.context
     (count,) = cur.unpack("<I")
     entries: list[tuple[str, np.ndarray]] = []
-    seen: set[str] = set()
     for _ in range(count):
-        (name_len,) = cur.unpack("<H")
-        if name_len == 0 or name_len > MAX_NAME_BYTES:
-            raise FormatError(f"{where}: entry name length {name_len} out of range")
-        name = cur.name(name_len)
-        if name in seen:
-            raise FormatError(f"{where}: duplicate entry name {name!r}")
-        seen.add(name)
+        name = cur.name(*cur.unpack("<H"))
         rows, cols = cur.unpack("<II")
-        if rows < 1 or cols < 1:
-            raise FormatError(f"{where}: entry {name!r} has empty shape {rows}x{cols}")
         m = np.frombuffer(cur.take(rows * cols * 4), dtype="<f4").reshape(rows, cols).astype(np.float32)
-        if not np.isfinite(m).all():
-            raise FormatError(f"{where}: entry {name!r} contains non-finite values")
         entries.append((name, m))
     cur.end()
+    try:
+        validate_entries(entries)
+    except ValidationError as exc:
+        raise FormatError(f"{cur.context}: {exc}") from exc
     return entries

@@ -68,12 +68,13 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_compress(args) -> int:
+    task_ids = [os.path.splitext(os.path.basename(path))[0] for path in args.tuned]
+    repeated = sorted({t for t in task_ids if task_ids.count(t) > 1})
+    if repeated:
+        raise ValidationError(f"--tuned file stems are the task ids and must be unique; repeated: {', '.join(repeated)}")
     config = _load_config(args)
     base = _load_archive(args.base)
-    tuned = {}
-    for path in args.tuned:
-        task_id = os.path.splitext(os.path.basename(path))[0]
-        tuned[task_id] = _load_archive(path)
+    tuned = {task_id: _load_archive(path) for task_id, path in zip(task_ids, args.tuned)}
     calib = _load_archive(args.calib)
 
     result = compress(base, tuned, calib, config)

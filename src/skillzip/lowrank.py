@@ -90,8 +90,6 @@ def _jacobi_orthogonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     orthogonal, turned in the row matrix w of the module docstring.
     """
     m, n = a.shape
-    if n == 1:
-        return a.astype(np.float64).copy(), np.eye(1, dtype=np.float64)
     w = np.hstack([a.T.astype(np.float64), np.eye(n, dtype=np.float64)])
     rounds = _round_robin_rounds(n)
     rot, tmp, cw, sw = (np.empty((len(rounds[0][0]), m + n), dtype=np.float64) for _ in range(4))

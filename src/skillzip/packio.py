@@ -19,9 +19,13 @@ two-per-byte nibble layout (low nibble first, zero pad nibble).
 The magic, the CRC32 trailer, the bounds-checked reads and the atomic write
 are the frame shared with FTZ archives (`archive.seal`, `open_frame`,
 `write_atomic`). Layers are written sorted by name, so write -> read ->
-write reproduces the file byte for byte. The JSON manifest sidecar
-`<pack>.manifest.json` is human-readable provenance; on read its ranks and
-bit widths are cross-checked against the binary payload.
+write reproduces the file byte for byte. Each rule is stated once and run
+in both directions: `_LAYER_FIELDS` is the layer record's layout, the
+`Skillpack`, `CompiledSkillLayer` and `QuantGrid` constructors are the
+value rules (ValidationError when built, FormatError when read), and
+`_manifest_layers` is what the sidecar says about the payload. The JSON
+manifest sidecar `<pack>.manifest.json` is human-readable provenance; on
+read its task id and layer entries must equal the ones the payload gives.
 """
 
 from __future__ import annotations
@@ -33,13 +37,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .archive import Cursor, open_frame, seal, write_atomic
+from .archive import Cursor, check_name, open_frame, seal, write_atomic
 from .errors import FormatError, ValidationError
 from .kernel import CompiledSkillLayer
 from .quant import PER_CHANNEL, PER_TENSOR, PER_TOKEN, QuantConfig, QuantGrid, ScaleDescriptor, pack_int4, unpack_int4
 
 MAGIC = b"SKZ1"
 VERSION = 1
+MAX_TASK_ID_BYTES = 0xFFFF
 
 _TAG_LAYER = 0x0001
 _TAG_NAME = 0x0010
@@ -54,6 +59,23 @@ _TAG_B_CODES = 0x0018
 _TAG_B_SCALES = 0x0019
 _TAG_MID_SCALE = 0x001A
 _TAG_ROTATION = 0x001B
+
+# A layer record's fields in stored order, each with its struct format, or
+# None for a variable-size payload. Writer and reader both walk this table.
+_LAYER_FIELDS = (
+    (_TAG_NAME, None),
+    (_TAG_DIMS, "<II"),
+    (_TAG_RANK, "<I"),
+    (_TAG_BITS, "<BBB"),
+    (_TAG_GRANS, "<BB"),
+    (_TAG_SMOOTH_INV, None),
+    (_TAG_A_CODES, None),
+    (_TAG_A_SCALE, "<f"),
+    (_TAG_B_CODES, None),
+    (_TAG_B_SCALES, None),
+    (_TAG_MID_SCALE, "<d"),
+    (_TAG_ROTATION, "<I"),
+)
 
 _GRAN_CODES = {PER_TENSOR: 0, PER_TOKEN: 1, PER_CHANNEL: 2}
 _GRAN_NAMES = {v: k for k, v in _GRAN_CODES.items()}
@@ -78,8 +100,6 @@ class Manifest:
             raise FormatError(f"manifest is not valid JSON: {exc}") from exc
         if not isinstance(body, dict) or any(key not in body for key in ("task_id", "layers", "compression_ratio")):
             raise FormatError("manifest must be an object with task_id, layers and compression_ratio")
-        if not isinstance(body["layers"], list) or not all(isinstance(entry, dict) for entry in body["layers"]):
-            raise FormatError("manifest layers must be a list of objects")
         return Manifest(
             task_id=body["task_id"],
             layers=body["layers"],
@@ -95,12 +115,16 @@ class Skillpack:
     manifest: Manifest | None = None
 
     def __post_init__(self):
+        """The pack-level rules, for the writer and the reader alike."""
+        check_name(self.task_id, MAX_TASK_ID_BYTES, "task id")
         if not self.layers:
             raise ValidationError("a skillpack needs at least one layer")
 
 
-def manifest_for(pack: Skillpack, provenance: dict | None = None) -> Manifest:
-    layers = [
+def _manifest_layers(pack: Skillpack) -> list[dict]:
+    """The sidecar's layer entries as the payload gives them: what
+    `manifest_for` writes and what `read_skillpack` requires."""
+    return [
         {
             "name": name,
             "rank": layer.rank,
@@ -113,9 +137,12 @@ def manifest_for(pack: Skillpack, provenance: dict | None = None) -> Manifest:
         }
         for name, layer in sorted(pack.layers.items())
     ]
+
+
+def manifest_for(pack: Skillpack, provenance: dict | None = None) -> Manifest:
     return Manifest(
         task_id=pack.task_id,
-        layers=layers,
+        layers=_manifest_layers(pack),
         compression_ratio=compression_ratio(pack),
         provenance=provenance or {},
     )
@@ -142,27 +169,28 @@ def _codes_from_payload(data: bytes, bits: int, rows: int, cols: int) -> np.ndar
 def _serialize_layer(name: str, layer: CompiledSkillLayer) -> bytes:
     cfg = layer.config
     b_scales = np.atleast_1d(layer.b_hat.scale.scales.astype("<f4"))
+    values = (
+        name.encode("utf-8"),
+        (layer.c_in, layer.c_out),
+        (layer.rank,),
+        (cfg.bits_x, cfg.bits_a, cfg.bits_b),
+        (_GRAN_CODES[cfg.gran_x], _GRAN_CODES[cfg.gran_b]),
+        layer.smooth_inv.astype("<f4").tobytes(),
+        _codes_payload(layer.a_hat),
+        (float(layer.a_hat.scale.scales),),
+        _codes_payload(layer.b_hat),
+        bytes([_GRAN_CODES[layer.b_hat.scale.granularity]]) + b_scales.tobytes(),
+        (layer.mid_scale,),
+        (layer.rotation_index,),
+    )
     fields = [
-        _tlv(_TAG_NAME, name.encode("utf-8")),
-        _tlv(_TAG_DIMS, struct.pack("<II", layer.c_in, layer.c_out)),
-        _tlv(_TAG_RANK, struct.pack("<I", layer.rank)),
-        _tlv(_TAG_BITS, struct.pack("<BBB", cfg.bits_x, cfg.bits_a, cfg.bits_b)),
-        _tlv(_TAG_GRANS, struct.pack("<BB", _GRAN_CODES[cfg.gran_x], _GRAN_CODES[cfg.gran_b])),
-        _tlv(_TAG_SMOOTH_INV, layer.smooth_inv.astype("<f4").tobytes()),
-        _tlv(_TAG_A_CODES, _codes_payload(layer.a_hat)),
-        _tlv(_TAG_A_SCALE, struct.pack("<f", float(layer.a_hat.scale.scales))),
-        _tlv(_TAG_B_CODES, _codes_payload(layer.b_hat)),
-        _tlv(_TAG_B_SCALES, struct.pack("<B", _GRAN_CODES[layer.b_hat.scale.granularity]) + b_scales.tobytes()),
-        _tlv(_TAG_MID_SCALE, struct.pack("<d", layer.mid_scale)),
-        _tlv(_TAG_ROTATION, struct.pack("<I", layer.rotation_index)),
+        _tlv(tag, value if fmt is None else struct.pack(fmt, *value)) for (tag, fmt), value in zip(_LAYER_FIELDS, values)
     ]
     return _tlv(_TAG_LAYER, b"".join(fields))
 
 
 def serialize_skillpack(pack: Skillpack) -> bytes:
     task_raw = pack.task_id.encode("utf-8")
-    if not task_raw or len(task_raw) > 0xFFFF:
-        raise ValidationError("task id must be 1..65535 bytes")
     chunks = [struct.pack("<HH", VERSION, len(task_raw)), task_raw, struct.pack("<I", len(pack.layers))]
     chunks += [_serialize_layer(name, pack.layers[name]) for name in sorted(pack.layers)]
     return seal(MAGIC, chunks)
@@ -172,8 +200,7 @@ def write_skillpack(pack: Skillpack, path: str | os.PathLike) -> None:
     """Write the container and, when present, the manifest sidecar."""
     write_atomic(path, serialize_skillpack(pack))
     if pack.manifest is not None:
-        with open(os.fspath(path) + ".manifest.json", "w", encoding="utf-8") as f:
-            f.write(pack.manifest.to_json())
+        write_atomic(os.fspath(path) + ".manifest.json", pack.manifest.to_json().encode("utf-8"))
 
 
 def _header(cur: Cursor, tag: int) -> int:
@@ -184,72 +211,45 @@ def _header(cur: Cursor, tag: int) -> int:
     return length
 
 
-def _fixed(cur: Cursor, tag: int, fmt: str) -> tuple:
-    """A fixed-size field payload unpacked with struct format `fmt`."""
-    length = _header(cur, tag)
-    if length != struct.calcsize(fmt):
-        raise FormatError(f"{cur.context}: tag {tag:#06x} holds {length} bytes, expected {struct.calcsize(fmt)}")
-    return cur.unpack(fmt)
-
-
 def _parse_layer(payload: memoryview, context: str) -> tuple[str, CompiledSkillLayer]:
     cur = Cursor(payload, context)
-    name = cur.name(_header(cur, _TAG_NAME))
-    c_in, c_out = _fixed(cur, _TAG_DIMS, "<II")
-    (rank,) = _fixed(cur, _TAG_RANK, "<I")
-    bits_x, bits_a, bits_b = _fixed(cur, _TAG_BITS, "<BBB")
-    gran_x_code, gran_b_code = _fixed(cur, _TAG_GRANS, "<BB")
-    if gran_x_code not in _GRAN_NAMES or gran_b_code not in _GRAN_NAMES:
+    fields = []
+    for tag, fmt in _LAYER_FIELDS:
+        length = _header(cur, tag)
+        if fmt is None:
+            fields.append(cur.name(length) if tag == _TAG_NAME else cur.take(length))
+        elif length == struct.calcsize(fmt):
+            fields.append(cur.unpack(fmt))
+        else:
+            raise FormatError(f"{context}: tag {tag:#06x} holds {length} bytes, expected {struct.calcsize(fmt)}")
+    cur.end()
+    name, (c_in, c_out), (rank,), bits, grans, smooth_raw, a_raw, (a_scale,), b_raw, b_scale_raw, (mid_scale,), (rotation,) = fields
+    if any(code not in _GRAN_NAMES for code in grans):
         raise FormatError(f"{context}: unknown granularity code")
-
-    smooth_raw = cur.take(_header(cur, _TAG_SMOOTH_INV))
     if len(smooth_raw) != 4 * c_in:
         raise FormatError(f"{context}: smoothing vector length mismatch")
-    smooth_inv = np.frombuffer(smooth_raw, dtype="<f4").copy()
-
-    try:
-        a_codes = _codes_from_payload(cur.take(_header(cur, _TAG_A_CODES)), bits_a, c_in, rank)
-        (a_scale,) = _fixed(cur, _TAG_A_SCALE, "<f")
-        b_codes = _codes_from_payload(cur.take(_header(cur, _TAG_B_CODES)), bits_b, rank, c_out)
-    except ValidationError as exc:  # int4 payload of the wrong size or pad
-        raise FormatError(f"{context}: {exc}") from exc
-
-    b_scale_raw = cur.take(_header(cur, _TAG_B_SCALES))
     if not b_scale_raw or (len(b_scale_raw) - 1) % 4:
         raise FormatError(f"{context}: B scale record must be one byte plus float32 values")
-    gran_b_stored = b_scale_raw[0]
-    if gran_b_stored not in _GRAN_NAMES:
+    if b_scale_raw[0] not in _GRAN_NAMES:
         raise FormatError(f"{context}: unknown B scale granularity")
-    b_gran = _GRAN_NAMES[gran_b_stored]
-    b_values = np.frombuffer(b_scale_raw[1:], dtype="<f4").copy()
+    b_gran = _GRAN_NAMES[b_scale_raw[0]]
+    b_values = np.frombuffer(b_scale_raw[1:], dtype="<f4").astype(np.float32)
     expected = 1 if b_gran == PER_TENSOR else c_out
     if b_values.size != expected:
         raise FormatError(f"{context}: expected {expected} B scales, found {b_values.size}")
 
-    (mid_scale,) = _fixed(cur, _TAG_MID_SCALE, "<d")
-    (rotation_index,) = _fixed(cur, _TAG_ROTATION, "<I")
-    cur.end()
-
-    try:
-        config = QuantConfig(bits_x=bits_x, bits_a=bits_a, bits_b=bits_b, gran_x=_GRAN_NAMES[gran_x_code], gran_b=_GRAN_NAMES[gran_b_code])
-        a_hat = QuantGrid(a_codes, bits_a, ScaleDescriptor(PER_TENSOR, np.float32(a_scale)))
-        b_scales = np.float32(b_values[0]) if b_gran == PER_TENSOR else b_values.astype(np.float32)
-        b_hat = QuantGrid(b_codes, bits_b, ScaleDescriptor(b_gran, b_scales))
-        layer = CompiledSkillLayer(
-            name=name,
-            smooth_inv=smooth_inv,
-            a_hat=a_hat,
-            b_hat=b_hat,
-            mid_scale=mid_scale,
-            config=config,
-            rotation_index=int(rotation_index),
-        )
-    except ValidationError as exc:
-        raise FormatError(f"{context}: {exc}") from exc
-    return name, layer
+    config = QuantConfig(*bits, gran_x=_GRAN_NAMES[grans[0]], gran_b=_GRAN_NAMES[grans[1]])
+    a_codes = _codes_from_payload(a_raw, config.bits_a, c_in, rank)
+    b_codes = _codes_from_payload(b_raw, config.bits_b, rank, c_out)
+    a_hat = QuantGrid(a_codes, config.bits_a, ScaleDescriptor(PER_TENSOR, np.float32(a_scale)))
+    b_hat = QuantGrid(b_codes, config.bits_b, ScaleDescriptor(b_gran, b_values[0] if b_gran == PER_TENSOR else b_values))
+    smooth_inv = np.frombuffer(smooth_raw, dtype="<f4").copy()
+    return name, CompiledSkillLayer(name, smooth_inv, a_hat, b_hat, mid_scale, config, rotation)
 
 
 def read_skillpack(path: str | os.PathLike) -> Skillpack:
+    """Read an SKZ pack and its sidecar, if any. What the writer would
+    refuse raises FormatError."""
     cur = open_frame(path, MAGIC)
     spath = cur.context
     version, task_len = cur.unpack("<HH")
@@ -258,40 +258,28 @@ def read_skillpack(path: str | os.PathLike) -> Skillpack:
     task_id = cur.name(task_len)
     (layer_count,) = cur.unpack("<I")
     layers: dict[str, CompiledSkillLayer] = {}
-    for i in range(layer_count):
-        name, layer = _parse_layer(cur.take(_header(cur, _TAG_LAYER)), f"{spath} layer {i}")
-        if name in layers:
-            raise FormatError(f"{spath}: duplicate layer name {name!r}")
-        layers[name] = layer
-    cur.end()
+    try:
+        for i in range(layer_count):
+            name, layer = _parse_layer(cur.take(_header(cur, _TAG_LAYER)), f"{spath} layer {i}")
+            if name in layers:
+                raise FormatError(f"{spath}: duplicate layer name {name!r}")
+            layers[name] = layer
+        cur.end()
+        pack = Skillpack(task_id=task_id, layers=layers)
+    except ValidationError as exc:
+        raise FormatError(f"{spath}: {exc}") from exc
 
-    manifest = None
     sidecar = spath + ".manifest.json"
     if os.path.exists(sidecar):
         with open(sidecar, "rb") as f:
             text = f.read()
         try:
-            manifest = Manifest.from_json(text)
+            pack.manifest = Manifest.from_json(text)
         except FormatError as exc:
             raise FormatError(f"{sidecar}: {exc}") from exc
-        _cross_check_manifest(manifest, layers, spath)
-    return Skillpack(task_id=task_id, layers=layers, manifest=manifest)
-
-
-def _cross_check_manifest(manifest: Manifest, layers: dict[str, CompiledSkillLayer], path: str) -> None:
-    keys = ("rank", "bits_x", "bits_a", "bits_b")
-    for entry in manifest.layers:
-        if not isinstance(entry.get("name"), str) or any(key not in entry for key in keys):
-            raise FormatError(f"{path}: manifest layer entries need a string name and {', '.join(keys)}")
-    by_name = {entry["name"]: entry for entry in manifest.layers}
-    if set(by_name) != set(layers):
-        raise FormatError(f"{path}: manifest layer set does not match the payload")
-    for name, layer in layers.items():
-        entry = by_name[name]
-        claims = tuple(entry[key] for key in keys)
-        actual = (layer.rank, layer.config.bits_x, layer.config.bits_a, layer.config.bits_b)
-        if claims != actual:
-            raise FormatError(f"{path}: manifest rank/bits for {name!r} disagree with the payload")
+        if (pack.manifest.task_id, pack.manifest.layers) != (task_id, _manifest_layers(pack)):
+            raise FormatError(f"{sidecar}: manifest task id or layer entries disagree with the payload")
+    return pack
 
 
 def compression_ratio(pack: Skillpack) -> float:

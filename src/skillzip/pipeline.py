@@ -1,14 +1,14 @@
 """End-to-end compression: deltas in, backbone plus skillpacks out.
 
-The config is checked when it is built, and the calibration inputs before
-any compute. Per task and per layer the stages are: channel-wise smoothing
-of the delta by its layer's calibration `profile`, truncated SVD with the
-square-root energy split, rotation selection over seeded orthogonal
-candidates, quantization of both factors (optionally with GPTQ refinement
-of the output factor), and mid-scale calibration. Before any of that, the
-shared component across tasks is merged into the backbone and subtracted
-from each delta. Every stage can be toggled off independently, which is
-what the ablation harness exercises.
+The config is checked when it is built, and the task ids and calibration
+inputs before any compute. Per task and per layer the stages are:
+channel-wise smoothing of the delta by its layer's calibration `profile`,
+truncated SVD with the square-root energy split, rotation selection over
+seeded orthogonal candidates, quantization of both factors (optionally
+with GPTQ refinement of the output factor), and mid-scale calibration.
+Before any of that, the shared component across tasks is merged into the
+backbone and subtracted from each delta. Every stage can be toggled off
+independently, which is what the ablation harness exercises.
 
 All randomness flows from one master seed through labeled child streams
 (`task/layer` labels), so runs are reproducible and independent of task
@@ -23,11 +23,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .archive import check_name
 from .deltas import MergePlan, TaskDelta, apply_delta, extract_delta, merge_shared, recenter
 from .errors import ShapeError, SkillzipError, ValidationError
 from .kernel import compile_layer
 from .lowrank import RankPolicy, split_factors, truncated_svd
-from .packio import Skillpack, manifest_for
+from .packio import MAX_TASK_ID_BYTES, Skillpack, manifest_for
 from .prng import Prng
 from .quant import QuantConfig
 from .smoothing import DEFAULT_ALPHA, DEFAULT_CANDIDATES, DEFAULT_EPSILON, MAX_CANDIDATES, apply_smooth, compute_smooth
@@ -193,6 +194,8 @@ def compress(
     """
     if not tuned:
         raise ValidationError("no tuned weight sets given")
+    for task_id in tuned:
+        check_name(task_id, MAX_TASK_ID_BYTES, "task id")
     for layer_name, w in base.items():
         if layer_name not in calib:
             raise ValidationError(f"calibration activations missing for layer {layer_name!r}")

@@ -175,14 +175,12 @@ class Prng:
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
         s = self.seed
+        # Four distinct SplitMix64 states through its bijective output mix:
+        # at most one word is 0, so the state is never all-zero.
         state = []
         for _ in range(4):
             s, out = _splitmix64(s)
             state.append(out)
-        # xoshiro256 state must not be all-zero; splitmix output never is
-        # for all four words simultaneously, but guard anyway.
-        if not any(state):
-            state[0] = 0x9E3779B97F4A7C15
         self._s = state
         self._gauss_spare: float | None = None
 

@@ -3,7 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skillzip import FormatError, ValidationError, read_archive, write_archive
@@ -159,3 +159,45 @@ def test_mutated_archive_raises_format_error_only(tmp_path_factory, op, where, d
         read_archive(path)
     except FormatError:
         pass
+
+
+def _framed(entries) -> bytes:
+    """FTZ bytes for any entries, framed by hand without the writer's checks."""
+    body = b"FTZ1" + struct.pack("<I", len(entries))
+    for name, m in entries:
+        raw = name.encode("utf-8", "surrogatepass")
+        body += struct.pack("<H", len(raw)) + raw + struct.pack("<II", *m.shape) + m.astype("<f4").tobytes()
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+# Names and matrices on both sides of each rule: 1..256 UTF-8 bytes (a lone
+# surrogate has no UTF-8 form), a nonempty shape, finite values.
+_NAMES = st.sampled_from(["w", "layer0", "x" * 256, "\u00e9" * 128, "", "x" * 257, "\u00e9" * 129, "\udcff"])
+_MATRICES = st.builds(
+    lambda rows, cols, value: np.full((rows, cols), value, dtype=np.float32),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.sampled_from([0.5, -3.0e38, float("nan"), float("inf"), float("-inf")]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=st.lists(st.tuples(_NAMES, _MATRICES), max_size=3))
+@example(entries=[("\udcff", np.ones((1, 1), dtype=np.float32))])
+@example(entries=[("w", np.ones((1, 1), dtype=np.float32)), ("w", np.ones((1, 1), dtype=np.float32))])
+def test_writer_refuses_exactly_what_the_reader_refuses(tmp_path_factory, entries):
+    folder = tmp_path_factory.mktemp("ftz")
+    try:
+        write_archive(folder / "w.ftz", entries)
+        written = True
+    except ValidationError:
+        written = False
+    (folder / "r.ftz").write_bytes(_framed(entries))
+    try:
+        read_archive(folder / "r.ftz")
+        read = True
+    except FormatError:
+        read = False
+    assert written == read
+    if written:
+        assert (folder / "w.ftz").read_bytes() == (folder / "r.ftz").read_bytes()

@@ -336,6 +336,52 @@ def test_bench_crafted_pack_exit_code(fixture_dir, tmp_path, capsys):
     assert "UTF-8" in err and "Traceback" not in err
 
 
+def test_bench_zero_layer_pack_exit_code(fixture_dir, tmp_path, capsys):
+    """A CRC-valid pack with no layers: exit 3, no traceback."""
+    body = b"SKZ1" + struct.pack("<HH", 1, 4) + b"math" + struct.pack("<I", 0)
+    bad = tmp_path / "empty.skz"
+    bad.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    stream = tmp_path / "s.jsonl"
+    stream.write_text(json.dumps({"task": "math", "x": [[0.0] * 48]}) + "\n")
+    rc = main(["bench", "--backbone", str(fixture_dir / "base.ftz"), "--pack", str(bad), "--stream", str(stream)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "at least one layer" in err and "Traceback" not in err
+
+
+def test_compress_repeated_task_id_exit_code(fixture_dir, tmp_path, capsys):
+    """Two --tuned files with one stem would silently become one task: exit 2, nothing written."""
+    for sub, source in (("a", "math.ftz"), ("b", "code.ftz")):
+        (tmp_path / sub).mkdir()
+        os.link(fixture_dir / source, tmp_path / sub / "math.ftz")
+    out = tmp_path / "packs"
+    rc = main(
+        [
+            "compress",
+            "--base", str(fixture_dir / "base.ftz"),
+            "--tuned", str(tmp_path / "a" / "math.ftz"),
+            "--tuned", str(tmp_path / "b" / "math.ftz"),
+            "--calib", str(fixture_dir / "calib.ftz"),
+            "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert "repeated: math" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compress_non_utf8_task_id_exit_code(fixture_dir, tmp_path, capsys):
+    """A --tuned file stem that is not UTF-8 cannot be a task id: exit 2, nothing written."""
+    tuned = tmp_path / "\udcff.ftz"  # the file name b"\xff.ftz", as Python decodes it
+    os.link(fixture_dir / "math.ftz", tuned)
+    out = tmp_path / "packs"
+    argv = ["compress", "--base", str(fixture_dir / "base.ftz"), "--tuned", str(tuned), "--calib", str(fixture_dir / "calib.ftz")]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "task id" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "sidecar",
     ["{not json", '{"task_id": "t"}', None],

@@ -120,6 +120,14 @@ def test_empty_pack_rejected():
         Skillpack("t", {})
 
 
+@pytest.mark.parametrize("task_id", ["", "x" * 65536, "\u00e9" * 32768, "\udcff"], ids=["empty", "long", "long-utf8", "surrogate"])
+def test_task_id_rule_checked_when_built(task_id):
+    layer = _layer(Prng(209))
+    with pytest.raises(ValidationError, match="task id"):
+        Skillpack(task_id, {"layer0": layer})
+    Skillpack("\u00e9" * 32767 + "x", {"layer0": layer})  # 65535 bytes
+
+
 def test_manifest_round_trip_and_cross_check(tmp_path):
     rng = Prng(205)
     pack = Skillpack("t", {"layer0": _layer(rng)})
@@ -146,20 +154,30 @@ def test_manifest_mismatch_detected(tmp_path):
         read_skillpack(path)
 
 
-def _layer_entry_without_name(good):
-    body = json.loads(good)
-    del body["layers"][0]["name"]
-    return json.dumps(body)
+def _edited(edit):
+    """A sidecar case: the written sidecar, parsed, edited in place, dumped."""
+
+    def case(good):
+        body = json.loads(good)
+        edit(body)
+        return json.dumps(body)
+
+    return case
 
 
 MALFORMED_MANIFESTS = {
     "not-json": lambda good: "{not json",
     "no-layers": lambda good: '{"task_id": "t"}',
-    "layer-without-name": _layer_entry_without_name,
+    "layer-without-name": _edited(lambda body: body["layers"][0].pop("name")),
     "not-an-object": lambda good: "[1, 2]",
     "layers-not-objects": lambda good: good.replace('"layers": [\n    {', '"layers": [\n    "x", {', 1),
     "name-not-string": lambda good: good.replace('"name": "layer0"', '"name": ["layer0"]', 1),
     "not-utf8": lambda good: b"\xff\xfe{" ,
+    "lying-gran-b": _edited(lambda body: body["layers"][0].update(gran_b="per-tensor")),  # the pack's is per-channel
+    "bogus-gran-x": _edited(lambda body: body["layers"][0].update(gran_x="per-galaxy")),
+    "lying-rotation": _edited(lambda body: body["layers"][0].update(rotation_candidate=body["layers"][0]["rotation_candidate"] + 1)),
+    "lying-task-id": _edited(lambda body: body.update(task_id="u")),
+    "duplicate-layer": _edited(lambda body: body["layers"].append(dict(body["layers"][0]))),
 }
 
 
@@ -221,6 +239,13 @@ def _crafted_pack(path, fields=None, task=b"math", bits=(8, 8, 8)):
     return path
 
 
+def test_crafted_zero_layer_pack_rejected_with_format_error(tmp_path):
+    path = tmp_path / "empty.skz"
+    path.write_bytes(_with_crc(packio.MAGIC + struct.pack("<HH", packio.VERSION, 4) + b"math" + struct.pack("<I", 0)))
+    with pytest.raises(FormatError, match="at least one layer"):
+        read_skillpack(path)
+
+
 def test_crafted_pack_baseline_reads(tmp_path):
     pack = read_skillpack(_crafted_pack(tmp_path / "ok.skz"))
     assert pack.task_id == "math" and set(pack.layers) == {"layer0"}
@@ -230,6 +255,7 @@ def test_crafted_pack_baseline_reads(tmp_path):
     "fields, task, bits",
     [
         ({}, b"\xffmath", (8, 8, 8)),
+        ({}, b"", (8, 8, 8)),
         ({packio._TAG_NAME: b"\xfe\xfflayer"}, b"math", (8, 8, 8)),
         ({packio._TAG_DIMS: b"\x08\x00\x00"}, b"math", (8, 8, 8)),
         ({packio._TAG_RANK: b""}, b"math", (8, 8, 8)),
@@ -245,7 +271,7 @@ def test_crafted_pack_baseline_reads(tmp_path):
         ({packio._TAG_GRANS: b"\x01\x01"}, b"math", (8, 8, 8)),
     ],
     ids=[
-        "task-utf8", "name-utf8", "dims-3-bytes", "rank-empty", "bits-2-bytes", "grans-3-bytes",
+        "task-utf8", "task-empty", "name-utf8", "dims-3-bytes", "rank-empty", "bits-2-bytes", "grans-3-bytes",
         "a-scale-3-bytes", "b-scales-empty", "b-scales-ragged", "mid-4-bytes", "rotation-8-bytes", "int4-short",
         "grans-b-per-tensor-vs-per-channel-scales", "grans-b-per-token",
     ],
