@@ -50,12 +50,6 @@ def outlier_activations(
     return x
 
 
-def task_names(k: int) -> list[str]:
-    names = list(TASK_NAMES[:k])
-    names += [f"task{i}" for i in range(len(names), k)]
-    return names
-
-
 def make_suite(
     seed: int,
     n_tasks: int = 3,
@@ -79,7 +73,7 @@ def make_suite(
         raise ValidationError(f"outlier channel count must lie in [0, {c_in}), got {outlier_channels}")
     rng = Prng(seed)
     layer_names = [f"layer{i}" for i in range(n_layers)]
-    tasks = task_names(n_tasks)
+    tasks = list(TASK_NAMES[:n_tasks]) + [f"task{i}" for i in range(len(TASK_NAMES), n_tasks)]
 
     base: dict[str, np.ndarray] = {}
     shared_parts: dict[str, np.ndarray] = {}

@@ -20,11 +20,11 @@ exists once, and calibration and serving run the same ones:
        factor (activation scales times the scalars), then per-channel
        B scales when B has them.
 
-Codes and accumulators stay float64 integers and the integer matmuls run
-through float64 BLAS: every partial product and sum is an integer far
-below 2^53, so the result is exact, equals the int32 product while
-K <= MAX_CONTRACTION, and does not depend on the reduction order, which
-makes the whole path bit-deterministic.
+Codes and accumulators are float64 integers; every partial product and sum
+of an integer matmul is an integer, so the result is exact in any reduction
+order and equals the int32 product while K <= MAX_CONTRACTION. float32 holds
+every integer up to 2^24, so while K <= F32_EXACT_CONTRACTION (K * 128^2 <=
+2^24, any int8 codes) they run through one float32 product, past it float64.
 
 The shared backbone runs in float through the matmul oracle; a layer's
 forward adds the integer-path output on top (or nothing when no skillpack
@@ -53,6 +53,7 @@ from .quant import (
 from .tensors import matmul
 
 MAX_CONTRACTION = 1 << 16  # int32 accumulation guarantee: K * 127 * 127 < 2^31
+F32_EXACT_CONTRACTION = (1 << 24) // (128 * 128)  # float32 exactness for int8 codes: K * 128 * 128 <= 2^24
 
 
 @dataclass
@@ -118,7 +119,8 @@ def gemm_i8_i32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"gemm shape mismatch: {a.shape} x {b.shape}")
     if a.shape[1] > MAX_CONTRACTION:
         raise ShapeError(f"contraction dimension {a.shape[1]} exceeds the int32 guarantee")
-    return np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+    dtype = np.float32 if a.shape[1] <= F32_EXACT_CONTRACTION else np.float64
+    return (np.asarray(a, dtype=dtype) @ np.asarray(b, dtype=dtype)).astype(np.float64, copy=False)
 
 
 def requant_mid(acc1: np.ndarray, mid_scale: float, diag: ForwardDiag | None = None) -> np.ndarray:

@@ -30,6 +30,7 @@ read its task id and layer entries must equal the ones the payload gives.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
@@ -37,7 +38,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .archive import Cursor, check_name, open_frame, seal, write_atomic
+from .archive import MAX_NAME_BYTES, Cursor, check_name, open_frame, seal, write_atomic
 from .errors import FormatError, ValidationError
 from .kernel import CompiledSkillLayer
 from .quant import PER_CHANNEL, PER_TENSOR, PER_TOKEN, QuantConfig, QuantGrid, ScaleDescriptor, pack_int4, unpack_int4
@@ -119,6 +120,8 @@ class Skillpack:
         check_name(self.task_id, MAX_TASK_ID_BYTES, "task id")
         if not self.layers:
             raise ValidationError("a skillpack needs at least one layer")
+        for name in self.layers:
+            check_name(name, MAX_NAME_BYTES, "layer name")
 
 
 def _manifest_layers(pack: Skillpack) -> list[dict]:
@@ -198,9 +201,12 @@ def serialize_skillpack(pack: Skillpack) -> bytes:
 
 def write_skillpack(pack: Skillpack, path: str | os.PathLike) -> None:
     """Write the container and, when present, the manifest sidecar."""
+    sidecar = os.fspath(path) + ".manifest.json"
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(sidecar)  # first, so not even an interrupted write leaves a stale sidecar
     write_atomic(path, serialize_skillpack(pack))
     if pack.manifest is not None:
-        write_atomic(os.fspath(path) + ".manifest.json", pack.manifest.to_json().encode("utf-8"))
+        write_atomic(sidecar, pack.manifest.to_json().encode("utf-8"))
 
 
 def _header(cur: Cursor, tag: int) -> int:

@@ -44,7 +44,8 @@ class SkillRegistry:
     """Loaded skillpacks plus the backbone they attach to.
 
     `target_layer` names the backbone entry this registry serves; every
-    registered pack must contain that layer with matching shapes.
+    registered pack must contain that layer with matching shapes. Its own
+    dict holds that layer as float64 once, so batches do not re-cast it.
     """
 
     backbone: dict[str, np.ndarray]
@@ -65,6 +66,7 @@ class SkillRegistry:
                     )
             if self.target_layer not in pack.layers:
                 raise ShapeError(f"pack {task_id!r} lacks the serving layer {self.target_layer!r}")
+        self.backbone = {**self.backbone, self.target_layer: self.backbone[self.target_layer].astype(np.float64)}
 
     def route(self, request: ForwardRequest) -> str:
         """Check one request's label and activations; runs no compute."""

@@ -20,7 +20,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError("matmul operands must be 2-D")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
+    return (a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)).astype(np.float32)
 
 
 def fro_norm(m: np.ndarray) -> float:

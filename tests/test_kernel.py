@@ -21,7 +21,7 @@ from skillzip import (
 )
 from skillzip import kernel
 from skillzip.fixtures import outlier_activations
-from skillzip.kernel import MAX_CONTRACTION, calibrate_mid_scale
+from skillzip.kernel import F32_EXACT_CONTRACTION, MAX_CONTRACTION, calibrate_mid_scale
 from skillzip.quant import PER_CHANNEL, PER_TENSOR, PER_TOKEN, count_clamped, quantize_codes
 from skillzip.prng import Prng
 from skillzip.tensors import fro_norm, matmul
@@ -518,6 +518,37 @@ def test_contraction_past_the_guarantee_rejected():
         forward_quantized(layer, np.ones((1, k), dtype=np.float32))
 
 
+@pytest.mark.parametrize("bits", [4, 8])
+def test_gemm_exact_at_float32_bound(bits):
+    """At K = F32_EXACT_CONTRACTION every partial sum of the float32 product
+    is an integer of at most K * 128^2 = 2^24, so it equals the int64
+    product, and a forward through it is K * 127^3 rounded once to float32."""
+    k = F32_EXACT_CONTRACTION
+    assert k * 128**2 == 1 << 24
+    a = _extreme_codes(bits, k)
+    b = np.ascontiguousarray(_extreme_codes(bits, k).T)
+    want = a.astype(np.int64) @ b.astype(np.int64)
+    assert np.abs(want).max() == k * ((1 << (bits - 1)) - 1) ** 2
+    got = gemm_i8_i32(a, b)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
+    lowest = np.full((1, k), -128, dtype=np.int8)
+    assert gemm_i8_i32(lowest, np.ascontiguousarray(lowest.T)).tolist() == [[float(1 << 24)]]
+    layer = _max_contraction_layer(k)
+    assert forward_quantized(layer, layer.a_hat.codes.T.astype(np.float32)).tolist() == [[float(np.float32(k * 127**3))]]
+
+
+def test_gemm_past_float32_bound_is_float64():
+    """One step past the bound, 1024 products of -128 * -128 and one of 1 * 1
+    sum to 2^24 + 1, which is odd and above 2^24, so no float32 value holds
+    it: only the float64 product returns it."""
+    k = F32_EXACT_CONTRACTION + 1
+    assert float(np.float32((1 << 24) + 1)) != (1 << 24) + 1
+    a = np.full((1, k), -128, dtype=np.int8)
+    a[0, -1] = 1
+    assert gemm_i8_i32(a, np.ascontiguousarray(a.T)).tolist() == [[float((1 << 24) + 1)]]
+
+
 # ---------------------------------------------------------------------------
 # Calibration and serving against the frozen reference kernel
 
@@ -532,17 +563,23 @@ def test_contraction_past_the_guarantee_rejected():
     use_gptq=st.booleans(),
     blocks=st.one_of(st.none(), st.lists(st.integers(0, 3), min_size=1, max_size=5)),
     gains=st.lists(st.sampled_from([0.25, 1.0, 8.0]), min_size=5, max_size=5),
+    negative=st.booleans(),
+    zero_rows=st.sets(st.integers(0, 11)),
+    zero=st.sampled_from([0.0, -0.0]),
 )
-def test_stages_match_reference_kernel(seed, shape, bits, gran_x, gran_b, use_gptq, blocks, gains):
+def test_stages_match_reference_kernel(seed, shape, bits, gran_x, gran_b, use_gptq, blocks, gains, negative, zero_rows, zero):
     """compile_layer's grids and mid scale, and forward_quantized's output
     and diagnostics, equal the reference bit for bit: per-token and
     per-tensor X (row blocks of 0 to 3 rows, each at its own magnitude so
     clamps happen), 4/8-bit X, A and B, per-channel and per-tensor B, GPTQ
-    on and off."""
+    on and off, and all-zero X rows of either sign against all-negative
+    A and B codes (the sign of a zero output is part of the bytes)."""
     c_in, rank, c_out = shape
     rng = Prng(seed)
     smooth = rng.uniform_matrix(1, c_in, 0.25, 4.0).reshape(-1)
     a, b = rng.gauss_matrix(c_in, rank), rng.gauss_matrix(rank, c_out)
+    if negative:
+        a, b = -np.abs(a), -np.abs(b)
     x_calib = outlier_activations(rng, 6, c_in, 2.0, [c_in - 1], 30.0)
     config = QuantConfig(*bits, gran_x=gran_x, gran_b=gran_b)
 
@@ -561,6 +598,7 @@ def test_stages_match_reference_kernel(seed, shape, bits, gran_x, gran_b, use_gp
         if size:
             x[start : start + size] = rng.uniform_matrix(size, c_in, -2.0 * gain, 2.0 * gain)
         start += size
+    x[[i for i in zero_rows if i < len(x)]] = zero
     diag = ForwardDiag()
     out = forward_quantized(layer, x, diag=diag, row_blocks=blocks)
     want_out, want_sat, want_scales = kernel_reference.forward_quantized(layer, x, blocks)

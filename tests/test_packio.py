@@ -128,6 +128,59 @@ def test_task_id_rule_checked_when_built(task_id):
     Skillpack("\u00e9" * 32767 + "x", {"layer0": layer})  # 65535 bytes
 
 
+@pytest.mark.parametrize("name", ["", "x" * 257, "\u00e9" * 129, "\udcff"], ids=["empty", "long", "long-utf8", "surrogate"])
+def test_layer_name_rule_checked_when_built(name):
+    layer = _layer(Prng(213))
+    with pytest.raises(ValidationError, match="layer name"):
+        Skillpack("t", {"layer0": layer, name: layer})
+    Skillpack("t", {"\u00e9" * 127 + "xx": layer})  # 256 bytes
+
+
+@pytest.mark.parametrize("name", [b"", b"x" * 257, "\udcff".encode("utf-8", "surrogatepass")], ids=["empty", "long", "surrogate"])
+def test_crafted_layer_name_rejected_with_format_error(tmp_path, name):
+    with pytest.raises(FormatError, match="layer name|not valid UTF-8"):
+        read_skillpack(_crafted_pack(tmp_path / "bad.skz", {packio._TAG_NAME: name}))
+
+
+def test_write_without_manifest_removes_stale_sidecar(tmp_path):
+    """A rank-2 pack with a manifest, then a rank-3 pack without one, to the
+    same path: the second write removes the first pack's sidecar, so the
+    read does not check the new payload against it."""
+    path, sidecar = tmp_path / "m.skz", tmp_path / "m.skz.manifest.json"
+    first = Skillpack("t", {"layer0": _layer(Prng(214), rank=2)})
+    first.manifest = manifest_for(first)
+    write_skillpack(first, path)
+    assert sidecar.exists()
+    write_skillpack(Skillpack("t", {"layer0": _layer(Prng(215), rank=3)}), path)
+    assert not sidecar.exists()
+    back = read_skillpack(path)
+    assert back.manifest is None and back.layers["layer0"].rank == 3
+
+
+@pytest.mark.parametrize("failing", ["m.skz", "m.skz.manifest.json"])
+def test_interrupted_write_leaves_no_stale_sidecar(tmp_path, monkeypatch, failing):
+    """A write that dies on the payload or on the sidecar leaves a pack that
+    reads: the old payload or the new one, never next to the other's sidecar."""
+    path = tmp_path / "m.skz"
+    old, new = (Skillpack("t", {"layer0": _layer(Prng(seed), rank=rank)}) for seed, rank in ((216, 2), (217, 3)))
+    for pack in (old, new):
+        pack.manifest = manifest_for(pack)
+    write_skillpack(old, path)
+    real_write = packio.write_atomic
+
+    def write_or_die(target, data):
+        if str(target).endswith(failing):
+            raise OSError("disk full")
+        real_write(target, data)
+
+    monkeypatch.setattr(packio, "write_atomic", write_or_die)
+    with pytest.raises(OSError, match="disk full"):
+        write_skillpack(new, path)
+    back = read_skillpack(path)
+    assert back.manifest is None
+    assert back.layers["layer0"].rank == (2 if failing == "m.skz" else 3)
+
+
 def test_manifest_round_trip_and_cross_check(tmp_path):
     rng = Prng(205)
     pack = Skillpack("t", {"layer0": _layer(rng)})

@@ -154,6 +154,23 @@ def test_permutation_equivariance():
         assert np.array_equal(perm_outs[j], outs[i])
 
 
+def test_registry_holds_float64_backbone_and_leaves_callers_dict():
+    """The registry keeps its own float64 copy of the serving layer; the
+    caller's dict still holds the same float32 array, and both dispatch
+    paths give byte for byte what forward_full gives on that array."""
+    packs = _registry().packs
+    w = Prng(307).uniform_matrix(C_IN, C_OUT, -0.5, 0.5)
+    backbone = {"layer0": w}
+    reg = SkillRegistry(backbone=backbone, target_layer="layer0", packs=packs)
+    assert backbone["layer0"] is w and w.dtype == np.float32
+    assert reg.backbone is not backbone and reg.backbone["layer0"].dtype == np.float64
+    rng = Prng(308)
+    batch = Batch([_request(rng, t) for t in ("math", "code", "math", "chat")])
+    want = [forward_full(w, reg.serving_layer(r.task_id), r.x).tobytes() for r in batch.requests]
+    assert [o.tobytes() for o in dispatch_batch(batch, reg)] == want
+    assert [o.tobytes() for o in dispatch_sequential(batch, reg)] == want
+
+
 def test_registry_rejects_shape_mismatch():
     reg = _registry()
     rng = Prng(306)

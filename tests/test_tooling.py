@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -117,3 +118,55 @@ def test_bench_summary_on_synthetic_records(tmp_path):
     assert entry["change"]["pack_sha256"] == {"1": ["sha0"], "2": ["sha1"]}
     assert entry["change"]["op_ms_p50_runs"] == [[1, 1000.0], [2, 1200.0]]
     assert entry["parent"]["context"].startswith("nproc 2, Python 3.11.7, numpy 2.4.6, scipy-openblas 0.3.31")
+
+
+def _stub_run_py(op_ms):
+    """A perfbench/run.py stand-in: writes a synthetic record where the real
+    one does and logs which tree ran, from the tree's root, to ../order.log."""
+    record = json.dumps(_perfbench_record("w", 0, op_ms, "sha"))
+    return f"""import json, os, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+record = json.loads({record!r})
+record["context"].update(workload=args["--workload"], seed=int(args["--seed"]), trace=int(args["--trace"]))
+out = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_out")
+os.makedirs(out, exist_ok=True)
+with open(os.path.join(out, args["--workload"] + "-seed" + args["--seed"] + "-trace" + args["--trace"] + ".json"), "w") as f:
+    json.dump(record, f)
+with open(os.path.join("..", "order.log"), "a") as f:
+    print(os.path.basename(os.getcwd()), args["--workload"], file=f)
+"""
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_bench_ab_alternates_parent_and_working_tree_copies(tmp_path):
+    """scripts/bench_ab.py copies a commit and the working tree (with its
+    untracked files) into sibling directories, alternates the side that runs
+    first from one pair of a workload to the next, and summarizes the
+    records."""
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    (repo / "perfbench" / "run.py").write_text(_stub_run_py(2000.0))
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-qm", "parent"], check=True)
+    (repo / "perfbench" / "run.py").write_text(_stub_run_py(1000.0))
+    (repo / "untracked.txt").write_text("change only")
+
+    root, dest = tmp_path / "ab", tmp_path / "BENCH.json"
+    argv = ["--repo", str(repo), "--parent", "HEAD", "--root", str(root), "--out", str(dest), "--seconds", "0.5"]
+    argv += ["--workload", "serve-long", "--workload", "compress-exact", "--seeds", "3", "4"]
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_ab.py"), *argv], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(dest.read_text())
+    assert sorted(summary) == ["compress-exact", "serve-long"]
+    for entry in summary.values():
+        assert entry["pairs"] == 2 and entry["pairs_change_faster"] == 2
+        assert entry["parent"]["seeds"] == entry["change"]["seeds"] == [3, 4]
+        assert entry["change_over_parent_median"]["op_ms_p50"] == pytest.approx(0.5)
+    runs = [line.split() for line in (root / "order.log").read_text().splitlines()]
+    for workload in ("serve-long", "compress-exact"):
+        assert [side for side, w in runs if w == workload] == ["parent", "change", "change", "parent"]
+    assert (root / "change" / "untracked.txt").exists() and not (root / "parent" / "untracked.txt").exists()
+    again = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_ab.py"), *argv], capture_output=True, text=True)
+    assert again.returncode == 2 and "not empty" in again.stderr
