@@ -10,8 +10,11 @@ for the parent and for the change, the median and interquartile range of
 each end-to-end metric over the runs, the seeds, the run count, the context
 line, each run's `op_ms_p50` and the `pack_sha256` of each seed; and the
 change/parent ratio of the medians, the number of run pairs (the k-th run of
-a seed on one side pairs with the k-th on the other, in path order) and how
-many of them the change won on `op_ms_p50`. Standard library only.
+a seed on one side pairs with the k-th on the other, in path order), how
+many of them the change won on `op_ms_p50`, and the median and interquartile
+range of the per-pair ratios change_k / parent_k of `op_ms_p50`. Outside load
+drifts over minutes and moves both medians, but it moves both runs of a pair
+alike, so the paired ratio cancels most of it. Standard library only.
 """
 
 from __future__ import annotations
@@ -87,19 +90,19 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
         sides = {}
         for label, records in (("parent", parent), ("change", change)):
             sides[label] = side_summary([r for r in records if r["context"]["workload"] == workload])
-        pairs = wins = 0
+        paired = []  # change_k / parent_k of op_ms_p50: the k-th run of a seed on each side is one pair
         for seed in set(sides["parent"]["seeds"]) & set(sides["change"]["seeds"]):
             before, after = ([v for s, v in sides[label]["op_ms_p50_runs"] if s == seed] for label in ("parent", "change"))
-            pairs += min(len(before), len(after))
-            wins += sum(a < b for b, a in zip(before, after))  # the k-th run of a seed on each side is one pair
+            paired += [a / b for b, a in zip(before, after)]
         ratio = {
             name: sides["change"]["metrics"][name]["median"] / sides["parent"]["metrics"][name]["median"]
             for name in sides["parent"]["metrics"]
             if name in sides["change"]["metrics"] and sides["parent"]["metrics"][name]["median"] != 0
         }
         out[workload] = {
-            "pairs": pairs,
-            "pairs_change_faster": wins,
+            "pairs": len(paired),
+            "pairs_change_faster": sum(r < 1.0 for r in paired),
+            "paired_op_ms_p50_ratio": spread(paired) if paired else None,
             **sides,
             "change_over_parent_median": ratio,
             "pack_sha256_equal": sides["parent"]["pack_sha256"] == sides["change"]["pack_sha256"],
@@ -124,9 +127,11 @@ def main(argv: list[str] | None = None) -> int:
     for workload, entry in summary.items():
         ratio = entry["change_over_parent_median"].get("op_ms_p50")
         shown = f"{ratio:.3f}x" if ratio is not None else "n/a"
+        paired = entry["paired_op_ms_p50_ratio"]
+        paired_shown = f"{paired['median']:.3f}x (IQR {paired['iqr']:.3f})" if paired else "n/a"
         print(
             f"{workload}: change faster in {entry['pairs_change_faster']} of {entry['pairs']} pairs, "
-            f"op_ms_p50 {shown}, pack_sha256 equal {entry['pack_sha256_equal']}"
+            f"op_ms_p50 {shown}, paired {paired_shown}, pack_sha256 equal {entry['pack_sha256_equal']}"
         )
     return 0
 

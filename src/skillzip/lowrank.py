@@ -7,10 +7,18 @@ in round-robin rounds of disjoint pairs so each round vectorizes, and the
 schedule is fixed, which makes the result deterministic for a given input
 on a given platform. The working matrix a (m x n) and the accumulated V
 live in one C-contiguous row matrix w = [a^T | V^T]: row j is column j of a
-followed by column j of V. A round gathers its pairs' rows, reduces their
-first m entries, turns whole rows and scatters them back, so no strided
-column is ever gathered. A sign convention (largest-magnitude entry of each
-left singular vector nonnegative) pins the remaining per-triplet ambiguity.
+followed by column j of V, so no strided column is ever gathered. The
+squared norm of each row's first m entries is kept and recomputed only when
+the row turns. A round gathers those first m entries of its pairs' rows for
+their cross products; then only the pairs past the threshold (Rutishauser's
+threshold Jacobi) have their whole rows turned and scattered back. Skipping
+a pair equals turning it by c = 1, s = 0 unless its rows hold a -0.0, which
+1 * x - 0 * y may make +0.0; and turning rows that hold no -0.0 makes none:
+c >= 1/sqrt(2) keeps c * x nonzero and, under gradual underflow, x - y == 0
+only for x == y, giving +0.0. So while w holds a -0.0 (tested before the
+first sweep and, while it does, after each) every pair of a round turns, the
+skipped ones by c = 1, s = 0. A sign convention (largest-magnitude entry of
+each left singular vector nonnegative) pins the remaining per-triplet ambiguity.
 
 The split A = U sqrt(S), B = sqrt(S) V^T balances each rank's energy
 between the two factors: column i of A and row i of B end up with equal
@@ -92,39 +100,44 @@ def _jacobi_orthogonalize(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, n = a.shape
     w = np.hstack([a.T.astype(np.float64), np.eye(n, dtype=np.float64)])
     rounds = _round_robin_rounds(n)
-    rot, tmp, cw, sw = (np.empty((len(rounds[0][0]), m + n), dtype=np.float64) for _ in range(4))
+    buffers = [np.empty((len(rounds[0][0]), m + n), dtype=np.float64) for _ in range(4)]
+    # Each a-part reduced here is one contiguous run of m doubles, as each
+    # column of the F-ordered column gather a[:, p] was, so einsum reduces it
+    # with the same kernel in the same order: the sums keep their bits.
+    norms = np.einsum("ij,ij->i", w[:, :m], w[:, :m])
+    negzero = True
     for _ in range(JACOBI_MAX_SWEEPS):
+        negzero = negzero and bool(np.signbit(w[w == 0.0]).any())
         rotated = 0
         for p, q in rounds:
-            wp, wq = w[p], w[q]
-            ap, aq = wp[:, :m], wq[:, :m]
-            # Each row here is one contiguous run of m doubles, as each column
-            # of the F-ordered column gather a[:, p] was, so einsum reduces it
-            # with the same kernel in the same order: the sums keep their bits.
-            alpha = np.einsum("ij,ij->i", ap, ap)
-            beta = np.einsum("ij,ij->i", aq, aq)
-            gamma = np.einsum("ij,ij->i", ap, aq)
+            alpha, beta = norms[p], norms[q]
+            gamma = np.einsum("ij,ij->i", w[p, :m], w[q, :m])
             need = np.abs(gamma) > JACOBI_TOL * np.sqrt(alpha * beta)
             count = int(np.count_nonzero(need))
             if count == 0:
                 continue
             rotated += count
-            if count == len(p):  # every pair turns: where= and the identity fill change no bit
+            # |zeta| > 1e154 gives t = +-0, the limit of 1 / (2 zeta). Only a
+            # pair that does not turn can have gamma == 0; its c and s are dropped.
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 zeta = (beta - alpha) / (2.0 * gamma)
-            else:
-                zeta = np.divide(beta - alpha, 2.0 * gamma, out=np.zeros_like(gamma), where=need)
-            with np.errstate(over="ignore"):  # |zeta| > 1e154 gives t = +-0, the limit of 1 / (2 zeta)
                 t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta))
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = c * t
-            if count < len(p):
+            if count < len(p) and negzero:  # c = 1, s = 0 may flip a -0.0: keep the skipped pairs' pass
                 c, s = np.where(need, c, 1.0), np.where(need, s, 0.0)
+            elif count < len(p):  # with no -0.0 in w, c = 1, s = 0 would change no bit
+                p, q, c, s = p[need], q[need], c[need], s[need]
+            rot, tmp, cw, sw = (b[: len(p)] for b in buffers)
+            wp, wq = w[p], w[q]
             np.copyto(cw, c[:, None])  # full rows multiply faster than a broadcast column
             np.copyto(sw, s[:, None])
             np.subtract(np.multiply(cw, wp, out=rot), np.multiply(sw, wq, out=tmp), out=rot)
             w[p] = rot
             np.add(np.multiply(sw, wp, out=tmp), np.multiply(cw, wq, out=wq), out=wq)
             w[q] = wq
+            norms[p] = np.einsum("ij,ij->i", rot[:, :m], rot[:, :m])
+            norms[q] = np.einsum("ij,ij->i", wq[:, :m], wq[:, :m])
         if rotated == 0:
             break
     return np.ascontiguousarray(w[:, :m].T), np.ascontiguousarray(w[:, m:].T)

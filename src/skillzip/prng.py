@@ -60,10 +60,6 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, (z ^ (z >> 31)) & _MASK64
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 def _scalar_draws(state: list[int], n: int) -> tuple[list[int], list[int]]:
     """n raw draws and the state after them, one Python step per draw."""
     s0, s1, s2, s3 = state
@@ -185,16 +181,7 @@ class Prng:
         self._gauss_spare: float | None = None
 
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
+        (result,), self._s = _scalar_draws(self._s, 1)
         return result
 
     def uniform(self) -> float:

@@ -128,7 +128,7 @@ def test_agreement_with_power_iteration():
 # ---------------------------------------------------------------------------
 # Row-layout Jacobi against the frozen column-gather loop, bit for bit
 
-JACOBI_KINDS = ("gauss", "zero-column", "repeated-column", "rank-deficient", "orthogonal", "float32")
+JACOBI_KINDS = ("gauss", "zero-column", "signed-zeros", "repeated-column", "rank-deficient", "orthogonal", "float32")
 
 
 def _jacobi_input(m: int, n: int, kind: str, seed: int) -> np.ndarray:
@@ -136,6 +136,13 @@ def _jacobi_input(m: int, n: int, kind: str, seed: int) -> np.ndarray:
     a = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-3, 4)
     if kind == "zero-column":
         a[:, rng.integers(n)] = (0.0, -0.0)[rng.integers(2)]  # signed zeros must come back unchanged
+    elif kind == "signed-zeros":
+        # Zeros that keep their entry's sign (-0.0 and +0.0), scattered and
+        # off the rows that one column alone holds: that column is orthogonal
+        # to the rest, never turns, and keeps its signed zeros in the output.
+        own = rng.random(m) < 0.3
+        keep = own[:, None] == (np.arange(n) == rng.integers(n))[None, :]
+        a[~keep | (rng.random((m, n)) < 0.1)] *= 0.0
     elif kind == "repeated-column":
         a[:, rng.integers(n)] = a[:, rng.integers(n)]
     elif kind == "rank-deficient":
@@ -164,6 +171,8 @@ def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
 @example((7, 7), "orthogonal", 3)
 @example((11, 11), "rank-deficient", 4)
 @example((160, 3), "float32", 5)
+@example((512, 72), "gauss", 6)  # compress-sketch's projected matrix
+@example((192, 128), "gauss", 7)  # compress-exact's delta
 def test_jacobi_matches_reference_bits(shape, kind, seed):
     a = _jacobi_input(*shape, kind, seed)
     got = lowrank._jacobi_orthogonalize(a)
@@ -181,6 +190,8 @@ def test_jacobi_matches_reference_bits(shape, kind, seed):
 )
 @example((9, 9), True, "zero-column", 0)  # zeta * zeta overflows: t must come out +-0 without a warning
 @example((9, 9), False, "zero-column", 6)  # no basis vector keeps half its length off the 8 nonzero triplets
+@example((512, 72), False, "gauss", 8)
+@example((192, 128), False, "gauss", 9)
 def test_jacobi_svd_full_matches_reference_bits(shape, wide, kind, seed):
     """Tall and wide inputs through the whole decomposition: u, sigma and vt
     keep their bits when the reference loop is swapped in."""
@@ -191,6 +202,25 @@ def test_jacobi_svd_full_matches_reference_bits(shape, wide, kind, seed):
         patch.setattr(lowrank, "_jacobi_orthogonalize", jacobi_reference.jacobi_orthogonalize)
         want = jacobi_svd_full(w)
     assert all(_same_bits(g, r) for g, r in zip(got, want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(lambda n: st.tuples(st.integers(n, 2 * n + 8), st.just(n))),
+    st.sampled_from(JACOBI_KINDS),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_jacobi_makes_no_negative_zero(shape, kind, seed, tiny_share):
+    """From an input with no -0.0, subnormal entries (~1e-310) included, no
+    entry of a or V comes back -0.0. Skipping the pairs that do not turn
+    changes no bit only while w holds no -0.0, so this pins that turning
+    rows never makes one."""
+    a = _jacobi_input(*shape, kind, seed).astype(np.float64)
+    a[np.random.default_rng(seed).random(a.shape) < tiny_share] *= 1e-310
+    a += 0.0  # -0.0 + 0.0 is +0.0
+    assert not np.signbit(a[a == 0.0]).any()
+    assert all(not np.signbit(g[g == 0.0]).any() for g in lowrank._jacobi_orthogonalize(a))
 
 
 def test_round_robin_rounds_cached_read_only():

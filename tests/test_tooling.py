@@ -94,9 +94,9 @@ def _perfbench_record(workload, seed, op_ms, sha, trace=0):
 
 
 def test_bench_summary_on_synthetic_records(tmp_path):
-    """Two runs a side: medians, IQRs, ratios, pairs and the pack hashes come
-    out of scripts/bench_summary.py as computed by hand; traced records are
-    left out."""
+    """Two runs a side: medians, IQRs, ratios, pairs, the paired ratio and
+    the pack hashes come out of scripts/bench_summary.py as computed by hand;
+    traced records are left out."""
     for side, op_ms in (("parent", (2000.0, 3000.0)), ("change", (1000.0, 1200.0))):
         for run, value in enumerate(op_ms):
             out = tmp_path / side / f"pair{run}" / "_out"
@@ -115,6 +115,9 @@ def test_bench_summary_on_synthetic_records(tmp_path):
     assert entry["parent"]["metrics"]["op_ms_p50"] == {"median": 2500.0, "iqr": 500.0, "unit": "ms"}
     assert entry["change"]["metrics"]["op_ms_p50"] == {"median": 1100.0, "iqr": 100.0, "unit": "ms"}
     assert entry["change_over_parent_median"]["op_ms_p50"] == pytest.approx(0.44)
+    # Pairs 1000 / 2000 and 1200 / 3000: the median of the ratios, not the ratio of the medians.
+    assert entry["paired_op_ms_p50_ratio"] == pytest.approx({"median": 0.45, "iqr": 0.05})
+    assert "paired 0.450x (IQR 0.050)" in proc.stdout
     assert entry["change"]["pack_sha256"] == {"1": ["sha0"], "2": ["sha1"]}
     assert entry["change"]["op_ms_p50_runs"] == [[1, 1000.0], [2, 1200.0]]
     assert entry["parent"]["context"].startswith("nproc 2, Python 3.11.7, numpy 2.4.6, scipy-openblas 0.3.31")
