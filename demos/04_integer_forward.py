@@ -33,7 +33,7 @@ print(f"stage 1 accumulator range: [{int(acc1.min())}, {int(acc1.max())}] (int32
 print(f"mid requant scale {layer.mid_scale:.2f}, saturated entries: {diag.mid_saturated}")
 print(f"stage 2 accumulator range: [{int(acc2.min())}, {int(acc2.max())}] (int32)")
 oracle = matmul(matmul(x, a), b)
-print(f"scales between the matmuls: {diag.inter_gemm_scales} (exactly one, per-tensor)")
+print(f"scale between the matmuls: {layer.mid_scale:.2f} (exactly one, per-tensor)")
 print(f"relative error vs float oracle: {fro_norm(oracle - out) / fro_norm(oracle):.4%}")
 
 print("\n=== exact regime: power-of-two scales, no saturation ===")

@@ -37,12 +37,17 @@ def _load_config(args) -> PipelineConfig:
     return config
 
 
+def _write_json(path: str | None, body: dict) -> None:
+    """Write `body` to `path` (when given) as indented, key-sorted JSON."""
+    if path:
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(body, f, indent=2, sort_keys=True)
+        print(f"wrote {path}")
+
+
 def _emit_report(report: evaluate.FidelityReport, json_path: str | None) -> None:
     print(report.to_text_table())
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as f:
-            json.dump(report.to_dict(), f, indent=2, sort_keys=True)
-        print(f"wrote {json_path}")
+    _write_json(json_path, report.to_dict())
 
 
 def cmd_gen_synth(args) -> int:
@@ -51,7 +56,7 @@ def cmd_gen_synth(args) -> int:
         n_tasks=args.tasks,
         n_layers=args.layers,
         c_in=args.channels,
-        c_out=args.cout or args.channels,
+        c_out=args.channels if args.cout is None else args.cout,
         calib_tokens=args.tokens,
         eval_tokens=args.tokens,
         outlier_channels=args.outliers,
@@ -122,9 +127,7 @@ def cmd_bench(args) -> int:
     batch = routing.load_request_stream(args.stream)
     if not batch.requests:
         print("empty request stream; nothing to measure")
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as f:
-                json.dump({"requests": 0}, f)
+        _write_json(args.json, {"requests": 0})
         return 0
 
     outputs = routing.dispatch_batch(batch, registry)
@@ -153,10 +156,7 @@ def cmd_bench(args) -> int:
     print(f"latency: {body['latency_ms_per_token']:.4f} ms/token")
     for t in sorted(ranks):
         print(f"  {t}: dense/lowrank multiply-add ratio {body['flops']['ratio'][t]:.3f}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(body, f, indent=2, sort_keys=True)
-        print(f"wrote {args.json}")
+    _write_json(args.json, body)
     return 0
 
 
@@ -170,9 +170,7 @@ def cmd_diag(args) -> int:
     cosine, sign = evaluate.delta_similarity(a, b)
     print(f"cosine: {cosine:.6f}")
     print(f"sign_consistency: {sign:.6f}")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump({"cosine": cosine, "sign_consistency": sign}, f, indent=2, sort_keys=True)
+    _write_json(args.json, {"cosine": cosine, "sign_consistency": sign})
     return 0
 
 

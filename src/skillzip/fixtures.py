@@ -62,9 +62,9 @@ def make_suite(
     task_rank: int = 8,
     outlier_channels: int = 6,
     outlier_ratio: float = 100.0,
-    base_range: float = 15.0,
 ) -> SynthSuite:
-    """Deterministic suite for a given seed."""
+    """Deterministic suite for a given seed; activations are uniform in
+    [-15, 15] before the outlier columns are scaled."""
     sizes = dict(n_tasks=n_tasks, n_layers=n_layers, c_in=c_in, c_out=c_out, calib_tokens=calib_tokens, eval_tokens=eval_tokens)
     for name, size in sizes.items():  # a negative n_tasks would slice TASK_NAMES from the end
         if size < 1:
@@ -87,8 +87,8 @@ def make_suite(
         shared_parts[name] = _low_rank(lrng.spawn("shared"), c_in, c_out, shared_rank, scale=1.0, decay=0.85)
 
         cols = lrng.spawn("outliers").choice_indices(c_in, outlier_channels) if outlier_channels else []
-        calib[name] = outlier_activations(lrng.spawn("calib"), calib_tokens, c_in, base_range, cols, outlier_ratio)
-        eval_x[name] = outlier_activations(lrng.spawn("eval"), eval_tokens, c_in, base_range, cols, outlier_ratio)
+        calib[name] = outlier_activations(lrng.spawn("calib"), calib_tokens, c_in, 15.0, cols, outlier_ratio)
+        eval_x[name] = outlier_activations(lrng.spawn("eval"), eval_tokens, c_in, 15.0, cols, outlier_ratio)
 
         for task in tasks:
             part = _low_rank(lrng.spawn(f"task/{task}"), c_in, c_out, task_rank, scale=0.6, decay=0.7)

@@ -33,7 +33,7 @@ is attached).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,13 +58,9 @@ F32_EXACT_CONTRACTION = (1 << 24) // (128 * 128)  # float32 exactness for int8 c
 
 @dataclass
 class ForwardDiag:
-    """Per-forward diagnostics: saturation counters and scale placement.
-
-    `inter_gemm_scales` records every scale applied between the two integer
-    matmuls; a legal pipeline appends exactly one scalar per forward."""
+    """Per-forward diagnostics: codes clamped by the mid requant."""
 
     mid_saturated: int = 0
-    inter_gemm_scales: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -125,13 +121,12 @@ def gemm_i8_i32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def requant_mid(acc1: np.ndarray, mid_scale: float, diag: ForwardDiag | None = None) -> np.ndarray:
     """The one scale between the GEMMs: acc1 / mid_scale rounded to int8
-    codes (float64). `diag` counts the clamped codes and records the scale."""
+    codes (float64). `diag` counts the clamped codes."""
     if not (mid_scale > 0):
         raise ValidationError("mid requant scale must be positive")
     codes = acc1 / mid_scale
     if diag is not None:
         diag.mid_saturated += count_clamped(codes, 127)
-        diag.inter_gemm_scales.append(float(mid_scale))
     round_half_away(codes, 127)
     return codes
 

@@ -239,8 +239,8 @@ class Prng:
 
     def below(self, n: int) -> int:
         """Unbiased integer in [0, n) by rejection on the top bits."""
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
+        if not 1 <= n <= _MASK64 + 1:  # past 2^64 the rejection zone is empty
+            raise ValueError(f"below() needs 1 <= n <= 2^64, got {n}")
         # Rejection zone keeps the draw exactly uniform.
         limit = (_MASK64 + 1) - ((_MASK64 + 1) % n)
         while True:

@@ -34,6 +34,7 @@ PER_TENSOR = "per-tensor"
 PER_TOKEN = "per-token"
 PER_CHANNEL = "per-channel"
 _GRANULARITIES = (PER_TENSOR, PER_TOKEN, PER_CHANNEL)
+GPTQ_DAMP = 0.01  # Hessian damping as a fraction of its mean diagonal (GPTQ's 1%)
 
 
 def round_half_away(q: np.ndarray, limit: int) -> None:
@@ -196,8 +197,8 @@ def dequantize(q: QuantGrid) -> np.ndarray:
 # GPTQ-style refinement of the output-side factor B
 
 
-def calibration_hessian(m_calib: np.ndarray, damp: float = 0.01) -> np.ndarray:
-    """H = M^T M / T + lambda*I with lambda = damp * mean(diag).
+def calibration_hessian(m_calib: np.ndarray) -> np.ndarray:
+    """H = M^T M / T + lambda*I with lambda = GPTQ_DAMP * mean(diag).
 
     `m_calib` is whatever feeds the B-side matmul during calibration
     (typically the int32 accumulator of the first stage, cast to float).
@@ -209,7 +210,7 @@ def calibration_hessian(m_calib: np.ndarray, damp: float = 0.01) -> np.ndarray:
     mean_diag = float(np.mean(np.diag(h)))
     if mean_diag <= 0:
         mean_diag = 1.0
-    h[np.diag_indices_from(h)] += damp * mean_diag
+    h[np.diag_indices_from(h)] += GPTQ_DAMP * mean_diag
     return h
 
 
@@ -232,8 +233,7 @@ def gptq_refine(b_init: QuantGrid, b_fp: np.ndarray, hessian: np.ndarray) -> Qua
 
     h = np.asarray(hessian, dtype=np.float64)
     h = 0.5 * (h + h.T)
-    try:
-        np.linalg.cholesky(h)
+    try:  # a singular H fails inv, an indefinite one the Cholesky of H^-1
         h_inv = np.linalg.inv(h)
         h_inv = 0.5 * (h_inv + h_inv.T)
         # Upper factor U with H^-1 = U^T U; row j carries the feedback

@@ -40,6 +40,7 @@ DEFAULT_ALPHA = 0.7
 DEFAULT_EPSILON = 1e-5
 DEFAULT_CANDIDATES = 10
 MAX_CANDIDATES = 256  # bounds one layer's rotation search; the SKZ index field is u32
+MAX_REDRAWS = 50  # redraws of one degenerate rotation column before giving up
 # Cap on the float64 bytes of one lockstep chunk's draw block and basis
 # stack (16 r^2 per candidate): all 10 default candidates at r = 64, one
 # at a time from r = 512 on.
@@ -83,7 +84,7 @@ def apply_smooth(x: np.ndarray, w: np.ndarray, s: np.ndarray) -> tuple[np.ndarra
     return x_s, w_s
 
 
-def _gram_schmidt(w: np.ndarray, redraw: Callable[[int], np.ndarray], max_attempts: int) -> np.ndarray:
+def _gram_schmidt(w: np.ndarray, redraw: Callable[[int], np.ndarray]) -> np.ndarray:
     """Orthonormal float64 bases q[k] (column i is q[k, :, i]) for the
     draws w[k, j], candidate k's draw for its column j, in lockstep.
 
@@ -91,7 +92,7 @@ def _gram_schmidt(w: np.ndarray, redraw: Callable[[int], np.ndarray], max_attemp
     leading non-negligible entry is made positive so the same seed gives
     the same matrix everywhere. A lone candidate replaces a degenerate
     column (norm <= 1e-8) with the next r draws, the rest of its own w and
-    then `redraw(r)`, at most `max_attempts` times. In a stack, the first
+    then `redraw(r)`, at most MAX_REDRAWS times. In a stack, the first
     candidate with a degenerate column ends it: only the bases before it
     are returned, and w, which only a lone retry writes, is left as it was
     so the caller can rerun the others alone in stream order.
@@ -105,7 +106,7 @@ def _gram_schmidt(w: np.ndarray, redraw: Callable[[int], np.ndarray], max_attemp
     norms = np.empty(count)
     matmul, multiply, subtract = np.matmul, np.multiply, np.subtract
     for j in range(r):
-        for attempt in range(max_attempts + 1):
+        for attempt in range(MAX_REDRAWS + 1):
             if attempt:
                 w[0, j:-1] = w[0, j + 1 :]
                 w[0, -1] = redraw(r)
@@ -141,7 +142,7 @@ def _gram_schmidt(w: np.ndarray, redraw: Callable[[int], np.ndarray], max_attemp
     return q
 
 
-def _draw_rotations(prng: Prng, r: int, count: int, max_attempts: int = 50) -> Iterator[np.ndarray]:
+def _draw_rotations(prng: Prng, r: int, count: int) -> Iterator[np.ndarray]:
     """`count` random orthogonal float32 (r, r) matrices in stream order.
 
     Candidate k reads the next r*r Gaussians, column by column, and its
@@ -167,22 +168,21 @@ def _draw_rotations(prng: Prng, r: int, count: int, max_attempts: int = 50) -> I
         n = min(per_chunk, count - start)
         block = prng.gauss_block(n * r * r)
         cursor = block.size  # a lone candidate's retries read the stream
-        bases = _gram_schmidt(block.reshape(n, r, r), take, max_attempts)
+        bases = _gram_schmidt(block.reshape(n, r, r), take)
         cursor = len(bases) * r * r
         for basis in bases:
             yield basis.astype(np.float32)
         for _ in range(len(bases), n):
-            yield _gram_schmidt(take(r * r).reshape(1, r, r), take, max_attempts)[0].astype(np.float32)
+            yield _gram_schmidt(take(r * r).reshape(1, r, r), take)[0].astype(np.float32)
 
 
-def sample_rotation(prng: Prng, r: int, max_attempts: int = 50) -> np.ndarray:
+def sample_rotation(prng: Prng, r: int) -> np.ndarray:
     """Random orthogonal R x R float32 matrix from a seeded Gaussian draw.
 
     The same seed gives the same matrix everywhere; degenerate draws are
-    replaced column by column from the stream, with a bounded number of
-    attempts.
+    replaced column by column from the stream, at most MAX_REDRAWS times.
     """
-    return next(_draw_rotations(prng, r, 1, max_attempts))
+    return next(_draw_rotations(prng, r, 1))
 
 
 def fold_rotation(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -42,7 +42,7 @@ def test_gen_synth_writes_archives(fixture_dir):
     assert set(base) == {"layer0", "layer1"}
 
 
-def test_compress_eval_bench_diag_round(fixture_dir, tmp_path):
+def test_compress_eval_bench_diag_round(fixture_dir, tmp_path, capsys):
     out = tmp_path / "packs"
     config_path = tmp_path / "cfg.json"
     config_path.write_text(
@@ -124,7 +124,9 @@ def test_compress_eval_bench_diag_round(fixture_dir, tmp_path):
         ]
     )
     assert rc == 0
+    assert f"wrote {diag_json}" in capsys.readouterr().out
     diag_body = json.loads(diag_json.read_text())
+    assert diag_json.read_text() == json.dumps(diag_body, indent=2, sort_keys=True)
     assert diag_body["cosine"] == pytest.approx(1.0, abs=1e-9)
     assert diag_body["sign_consistency"] == pytest.approx(1.0)
 
@@ -190,16 +192,20 @@ def test_empty_stream_reports_and_succeeds(fixture_dir, tmp_path, capsys):
     )
     stream = tmp_path / "empty.jsonl"
     stream.write_text("")
+    bench_json = tmp_path / "bench.json"
     rc = main(
         [
             "bench",
             "--backbone", str(out / "backbone.ftz"),
             "--pack", str(out / "math.skz"),
             "--stream", str(stream),
+            "--json", str(bench_json),
         ]
     )
     assert rc == 0
-    assert "empty" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "empty" in printed and f"wrote {bench_json}" in printed
+    assert bench_json.read_text() == json.dumps({"requests": 0}, indent=2)
 
 
 def test_validation_error_exit_code(fixture_dir, tmp_path):
@@ -287,7 +293,8 @@ def test_gen_synth_too_many_outliers_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag, value, name",
-    [("--tasks", "-1", "n_tasks"), ("--layers", "0", "n_layers"), ("--tokens", "-2", "calib_tokens"), ("--cout", "-3", "c_out")],
+    [("--tasks", "-1", "n_tasks"), ("--layers", "0", "n_layers"), ("--tokens", "-2", "calib_tokens"),
+     ("--cout", "-3", "c_out"), ("--cout", "0", "c_out")],
 )
 def test_gen_synth_degenerate_size_exit_code(tmp_path, capsys, flag, value, name):
     """A negative task count would slice TASK_NAMES from the end and zero

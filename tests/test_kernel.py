@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,7 +72,6 @@ def test_requant_saturates():
     q = requant_mid(acc, 1.0, diag)
     assert q.tolist() == [[127, -127, 126]]
     assert diag.mid_saturated == 2
-    assert diag.inter_gemm_scales == [1.0]
     with pytest.raises(ValidationError):
         requant_mid(acc, 0.0)
 
@@ -125,11 +126,17 @@ def test_forward_deterministic():
         assert np.array_equal(forward_quantized(layer, x), first)
 
 
+def spy_requant_mid():
+    """Wrap `kernel.requant_mid`; forward_quantized looks it up as a module
+    global, so every call it makes is recorded."""
+    return mock.patch.object(kernel, "requant_mid", wraps=kernel.requant_mid)
+
+
 def test_single_scalar_between_gemms():
     layer, x, _, _ = build_exact_case(5, tokens=4, c_in=16, rank=4, c_out=8)
-    diag = ForwardDiag()
-    forward_quantized(layer, x, diag=diag)
-    assert diag.inter_gemm_scales == [layer.mid_scale]
+    with spy_requant_mid() as spy:
+        forward_quantized(layer, x, diag=ForwardDiag())
+    assert [call.args[1] for call in spy.call_args_list] == [layer.mid_scale]
     assert isinstance(layer.mid_scale, float)
 
 
@@ -441,7 +448,6 @@ def test_requant_matches_reference(rows, cols, mid_scale, halves):
     diag = ForwardDiag()
     codes = requant_mid(acc, mid_scale, diag)
     assert diag.mid_saturated == want_sat
-    assert diag.inter_gemm_scales == [mid_scale]
     assert np.array_equal(codes, want)
     assert not np.signbit(codes[codes == 0]).any()
 
@@ -600,11 +606,12 @@ def test_stages_match_reference_kernel(seed, shape, bits, gran_x, gran_b, use_gp
         start += size
     x[[i for i in zero_rows if i < len(x)]] = zero
     diag = ForwardDiag()
-    out = forward_quantized(layer, x, diag=diag, row_blocks=blocks)
+    with spy_requant_mid() as spy:
+        out = forward_quantized(layer, x, diag=diag, row_blocks=blocks)
     want_out, want_sat, want_scales = kernel_reference.forward_quantized(layer, x, blocks)
     assert out.tobytes() == want_out.tobytes()
     assert diag.mid_saturated == want_sat
-    assert diag.inter_gemm_scales == want_scales
+    assert [call.args[1] for call in spy.call_args_list] == want_scales
 
 
 def test_calibration_divides_and_serving_multiplies():

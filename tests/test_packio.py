@@ -4,7 +4,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skillzip import (
@@ -359,3 +359,47 @@ def test_mutated_pack_raises_format_error_only(tmp_path_factory, op, where, data
         read_skillpack(path)
     except FormatError:
         pass
+
+
+def _framed_pack(task_id: str, layers: dict[str, CompiledSkillLayer]) -> bytes:
+    """SKZ bytes for any task id and layer names, framed by hand without the
+    writer's checks; each record's fields after the name are the writer's.
+    The u16 task id length wraps past 65535 bytes, as an unchecked writer's
+    would."""
+    task = task_id.encode("utf-8", "surrogatepass")
+    body = packio.MAGIC + struct.pack("<HH", packio.VERSION, len(task) & 0xFFFF) + task + struct.pack("<I", len(layers))
+    for name, layer in sorted(layers.items()):
+        rest = packio._serialize_layer("x", layer)[6 + 6 + 1 :]  # past the layer header and the name field
+        raw = name.encode("utf-8", "surrogatepass")
+        record = struct.pack("<HI", packio._TAG_NAME, len(raw)) + raw + rest
+        body += struct.pack("<HI", packio._TAG_LAYER, len(record)) + record
+    return _with_crc(body)
+
+
+# Task ids and layer names on both sides of each rule: 1..65535 and 1..256
+# UTF-8 bytes (a lone surrogate has no UTF-8 form), and at least one layer.
+_TASK_IDS = st.sampled_from(["math", "\u00e9" * 32767 + "x", "", "x" * 65536, "\u00e9" * 32768, "\udcff"])
+_LAYER_NAMES = st.sampled_from(["w", "layer0", "x" * 256, "\u00e9" * 128, "", "x" * 257, "\u00e9" * 129, "\udcff"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(task_id=_TASK_IDS, layer_bits=st.dictionaries(_LAYER_NAMES, st.sampled_from([(8, 8, 8), (8, 4, 4)]), max_size=3))
+@example(task_id="math", layer_bits={})
+@example(task_id="\udcff", layer_bits={"w": (8, 8, 8)})
+@example(task_id="math", layer_bits={"\udcff": (8, 8, 8)})
+def test_pack_refuses_exactly_what_the_reader_refuses(tmp_path_factory, task_id, layer_bits):
+    layers = {name: _layer(Prng(214), bits=bits) for name, bits in layer_bits.items()}
+    try:
+        written = serialize_skillpack(Skillpack(task_id, layers))
+    except ValidationError:
+        written = None
+    path = tmp_path_factory.mktemp("skz") / "r.skz"
+    path.write_bytes(_framed_pack(task_id, layers))
+    try:
+        read = read_skillpack(path)
+    except FormatError:
+        read = None
+    assert (written is None) == (read is None)
+    if written is not None:
+        assert written == path.read_bytes()
+        assert (read.task_id, sorted(read.layers)) == (task_id, sorted(layers))

@@ -51,6 +51,25 @@ def test_below_unbiased_range():
     assert set(draws) == set(range(7))
 
 
+@pytest.mark.parametrize("n", [0, -1, 2**64 + 1, 2**65])
+def test_below_refuses_n_outside_one_to_two_to_64(n):
+    """Past 2^64 the rejection limit 2^64 - (2^64 mod n) is 0: no draw would
+    ever be accepted, so such n is refused like n <= 0."""
+    with pytest.raises(ValueError, match="below"):
+        Prng(1).below(n)
+
+
+@pytest.mark.parametrize("n", [2**64 + 1, 2**65])
+def test_choice_indices_refuses_n_past_two_to_64(n):
+    with pytest.raises(ValueError, match="below"):
+        Prng(1).choice_indices(n, 1)
+
+
+def test_below_two_to_64_takes_the_raw_draw():
+    a, b = Prng(1), Prng(1)
+    assert a.below(2**64) == b.next_u64()
+
+
 def test_choice_indices_distinct():
     rng = Prng(13)
     picks = rng.choice_indices(20, 8)

@@ -169,10 +169,12 @@ def test_gptq_one_by_one_equals_plain():
 
 
 def test_gptq_rejects_indefinite_hessian():
+    """An indefinite H fails the Cholesky of H^-1, a singular one the inverse."""
     b = np.ones((2, 3), dtype=np.float32)
     rtn = quantize(b, 8, "per-tensor")
-    with pytest.raises(ValidationError, match="positive definite"):
-        gptq_refine(rtn, b, np.array([[1.0, 2.0], [2.0, 1.0]]))
+    for hessian in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]):
+        with pytest.raises(ValidationError, match="positive definite"):
+            gptq_refine(rtn, b, np.array(hessian))
 
 
 def test_gptq_shape_checks():

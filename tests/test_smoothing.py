@@ -179,12 +179,14 @@ def test_rotation_retry_path_matches_per_draw_oracle(r, degenerate_at, retries):
     assert np.abs(q64.T @ q64 - np.eye(r)).max() < 1e-6
 
 
-def test_rotation_retry_exhaustion_matches_oracle():
+def test_rotation_retry_exhaustion_matches_oracle(monkeypatch):
     r = 2
     values = np.concatenate([np.ones(r), np.zeros(r * 4)])
-    for sampler in (sample_rotation, _sample_rotation_per_draw):
-        with pytest.raises(ValidationError, match="full-rank"):
-            sampler(_ScriptedDraws(values), r, max_attempts=3)
+    monkeypatch.setattr(smoothing, "MAX_REDRAWS", 3)
+    with pytest.raises(ValidationError, match="full-rank"):
+        sample_rotation(_ScriptedDraws(values), r)
+    with pytest.raises(ValidationError, match="full-rank"):
+        _sample_rotation_per_draw(_ScriptedDraws(values), r, max_attempts=3)
 
 
 @pytest.mark.parametrize("r", [1, 2, 6, 27, 32, 33, 64])
@@ -243,7 +245,7 @@ def test_lockstep_float64_bases_match_oracle(r):
     every float64 bit, so the stacked dots add in the lone dots' order."""
     count = 4
     w = Prng(960 + r).gauss_block(count * r * r).reshape(count, r, r)
-    got = smoothing._gram_schmidt(w.copy(), None, 50)
+    got = smoothing._gram_schmidt(w.copy(), None)
     for k in range(count):
         want = _sample_rotation_per_draw(_ScriptedDraws(w[k].reshape(-1)), r, dtype=np.float64)
         assert got[k].tobytes() == want.tobytes()
