@@ -10,9 +10,11 @@ fresh directory of the same depth: serve timings have been seen to differ
 by a few percent between a checkout's own directory and a copy of it. For
 each seed and workload, one untraced run (`perfbench/run.py --trace 0`, from
 the tree's root) of each side makes a pair, and the side that goes first
-alternates from one pair of a workload to the next. The records are kept under
-DIR/records/<side>/, and scripts/bench_summary.py turns them into --out.
-DIR must be new or empty. Standard library only; needs git on PATH.
+alternates from one pair of a workload to the next. With --traced, one traced
+run (`--trace 1`, first seed) of each side and workload follows the pairs; its
+per-layer metrics go into --out next to the end-to-end ones. The records are
+kept under DIR/records/<side>/, and scripts/bench_summary.py turns them into
+--out. DIR must be new or empty. Standard library only; needs git on PATH.
 """
 
 from __future__ import annotations
@@ -52,11 +54,12 @@ def copy_worktree(repo: str, dest: str) -> None:
             shutil.copy2(source, target)
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float, records: str) -> str:
-    """One untraced perfbench run of `tree`; moves its record into `records`."""
+def run_once(tree: str, workload: str, seed: int, seconds: float, records: str, trace: int) -> str:
+    """One perfbench run of `tree`; moves its record into `records`."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload, "--seed", str(seed)]
-    subprocess.run(cmd + ["--seconds", str(seconds), "--trace", "0"], cwd=tree, check=True, stdout=subprocess.DEVNULL)
-    name = f"{workload}-seed{seed}-trace0.json"
+    cmd += ["--seconds", str(seconds), "--trace", str(trace)]
+    subprocess.run(cmd, cwd=tree, check=True, stdout=subprocess.DEVNULL)
+    name = f"{workload}-seed{seed}-trace{trace}.json"
     os.makedirs(records, exist_ok=True)
     return shutil.move(os.path.join(tree, "perfbench", "_out", name), os.path.join(records, name))
 
@@ -69,6 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", action="append", required=True, help="a perfbench workload; repeatable")
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair of runs per seed and workload")
     parser.add_argument("--seconds", type=float, required=True, help="seconds per run")
+    parser.add_argument("--traced", action="store_true", help="add one --trace 1 run per side and workload")
     parser.add_argument("--repo", default=os.path.dirname(HERE), help="checkout to copy (default: this script's)")
     args = parser.parse_args(argv)
     if os.path.exists(args.root) and os.listdir(args.root):
@@ -83,10 +87,15 @@ def main(argv: list[str] | None = None) -> int:
         # Per workload, the side that runs first alternates from pair to pair.
         for workload in args.workload:
             for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                path = run_once(trees[side], workload, seed, args.seconds, os.path.join(records, side, f"pair{k:03d}"))
+                pair = os.path.join(records, side, f"pair{k:03d}")
+                path = run_once(trees[side], workload, seed, args.seconds, pair, 0)
                 with open(path, encoding="utf-8") as f:
                     op_ms = json.load(f)["result"]["metrics"]["op_ms_p50"]["value"]
                 print(f"pair {k} {workload} seed {seed} {side}: op_ms_p50 {op_ms:.3f} ms", flush=True)
+    for workload in args.workload if args.traced else ():
+        for side in ("parent", "change"):
+            run_once(trees[side], workload, args.seeds[0], args.seconds, os.path.join(records, side, "traced"), 1)
+            print(f"traced {workload} seed {args.seeds[0]} {side}", flush=True)
     parent, change = (os.path.join(records, side) for side in ("parent", "change"))
     return bench_summary.main(["--parent", parent, "--change", change, "--out", args.out])
 

@@ -4,8 +4,11 @@
 
 Each DIR holds perfbench records (the `perfbench/_out/*.json` files one run
 writes), in any layout below it: every `*.json` file found under DIR with a
-`context` and a `result` is one run. Untraced records only (`--trace 0`);
-traced ones carry per-layer metrics instead. Per workload the output holds,
+`context` and a `result` is one run. The end-to-end summary reads untraced
+records (`--trace 0`); traced ones (`--trace 1`, e.g. from `bench_ab.py
+--traced`) carry per-layer metrics instead, and of those the output keeps,
+per side, the median of each of TRACED over the traced runs and the patch
+points any of them missed. Per workload the output holds,
 for the parent and for the change, the median and interquartile range of
 each end-to-end metric over the runs, the seeds, the run count, the context
 line, each run's `op_ms_p50` and the `pack_sha256` of each seed; and the
@@ -26,10 +29,11 @@ import statistics
 import sys
 
 END_TO_END = ("setup_s", "op_ms_p50", "rel_error", "compression_ratio", "peak_rss_mb")
+TRACED = ("kernel.forward_quantized_s", "tensors.matmul_s", "bench.flop_ratio", "kernel.time_vs_flop_ratio")
 
 
 def load_records(root: str) -> list[dict]:
-    """Every untraced perfbench record under `root`, in sorted path order."""
+    """Every perfbench record under `root`, traced or not, in sorted path order."""
     records = []
     for dirpath, _, names in sorted(os.walk(root)):
         for name in sorted(names):
@@ -38,9 +42,12 @@ def load_records(root: str) -> list[dict]:
             with open(os.path.join(dirpath, name), encoding="utf-8") as f:
                 record = json.load(f)
             if isinstance(record, dict) and "context" in record and "result" in record:
-                if record["context"].get("trace", 0) == 0:
-                    records.append(record)
+                records.append(record)
     return records
+
+
+def is_traced(record: dict) -> bool:
+    return record["context"].get("trace", 0) != 0
 
 
 def context_line(context: dict) -> str:
@@ -83,13 +90,28 @@ def side_summary(records: list[dict]) -> dict:
     }
 
 
-def summarize(parent: list[dict], change: list[dict]) -> dict:
+def traced_summary(records: list[dict]) -> dict:
+    """Median of each TRACED metric over traced runs, and every missed patch point."""
+    out = {"runs": len(records)}
+    for name in TRACED:
+        values = [r["result"]["metrics"][name]["value"] for r in records if name in r["result"]["metrics"]]
+        if values:
+            out[name] = statistics.median(values)
+    out["missing_patch_points"] = sorted({p for r in records for p in r["context"].get("missing_patch_points", [])})
+    return out
+
+
+def summarize(parent_all: list[dict], change_all: list[dict]) -> dict:
+    parent, change = ([r for r in records if not is_traced(r)] for records in (parent_all, change_all))
     workloads = sorted({r["context"]["workload"] for r in parent} & {r["context"]["workload"] for r in change})
     out = {}
     for workload in workloads:
-        sides = {}
-        for label, records in (("parent", parent), ("change", change)):
-            sides[label] = side_summary([r for r in records if r["context"]["workload"] == workload])
+        sides, traced = {}, {}
+        for label, records in (("parent", parent_all), ("change", change_all)):
+            mine = [r for r in records if r["context"]["workload"] == workload]
+            sides[label] = side_summary([r for r in mine if not is_traced(r)])
+            if any(is_traced(r) for r in mine):
+                traced[label] = traced_summary([r for r in mine if is_traced(r)])
         paired = []  # change_k / parent_k of op_ms_p50: the k-th run of a seed on each side is one pair
         for seed in set(sides["parent"]["seeds"]) & set(sides["change"]["seeds"]):
             before, after = ([v for s, v in sides[label]["op_ms_p50_runs"] if s == seed] for label in ("parent", "change"))
@@ -107,6 +129,8 @@ def summarize(parent: list[dict], change: list[dict]) -> dict:
             "change_over_parent_median": ratio,
             "pack_sha256_equal": sides["parent"]["pack_sha256"] == sides["change"]["pack_sha256"],
         }
+        if traced:
+            out[workload]["traced"] = traced
     return out
 
 
@@ -117,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", required=True, help="summary JSON to write")
     args = parser.parse_args(argv)
     parent, change = load_records(args.parent), load_records(args.change)
-    if not parent or not change:
+    if not any(not is_traced(r) for r in parent) or not any(not is_traced(r) for r in change):
         print("error: no untraced perfbench records under one of the directories", file=sys.stderr)
         return 2
     summary = summarize(parent, change)
@@ -133,6 +157,9 @@ def main(argv: list[str] | None = None) -> int:
             f"{workload}: change faster in {entry['pairs_change_faster']} of {entry['pairs']} pairs, "
             f"op_ms_p50 {shown}, paired {paired_shown}, pack_sha256 equal {entry['pack_sha256_equal']}"
         )
+        for label, traced in entry.get("traced", {}).items():
+            shown = ", ".join(f"{name} {traced[name]:.6g}" for name in TRACED if name in traced)
+            print(f"{workload} traced {label}: {shown}; missing patch points {traced['missing_patch_points'] or 'none'}")
     return 0
 
 

@@ -9,9 +9,9 @@ entirely in integers between the outer scale applications. Each stage
 exists once, and calibration and serving run the same ones:
 
     1. activations are smoothed (serving multiplies by the stored 1/s,
-       calibration divides by s) and quantized by `quant.quantize_codes`:
-       each row (per token) or each request's block of rows (per-tensor X)
-       is a group with its own float32 scale;
+       calibration divides by s) and quantized by `quant`'s scale and code
+       steps: each row (per token) or each request's block of rows
+       (per-tensor X) is a group with its own float32 scale;
     2. `gemm_i8_i32`, the first integer matmul, accumulates exactly;
     3. `requant_mid` requantizes the accumulator to int8 codes through one
        per-tensor scalar (the only scale permitted between the matmuls);
@@ -20,11 +20,11 @@ exists once, and calibration and serving run the same ones:
        factor (activation scales times the scalars), then per-channel
        B scales when B has them.
 
-Codes and accumulators are float64 integers; every partial product and sum
-of an integer matmul is an integer, so the result is exact in any reduction
-order and equals the int32 product while K <= MAX_CONTRACTION. float32 holds
-every integer up to 2^24, so while K <= F32_EXACT_CONTRACTION (K * 128^2 <=
-2^24, any int8 codes) they run through one float32 product, past it float64.
+Every partial product and sum of an integer matmul is an integer, so it is
+exact in any order and equals the int32 product while K <= MAX_CONTRACTION.
+K runs in chunks of F32_EXACT_CONTRACTION (K * 128^2 <= 2^24: exact float32
+products) summed in float64. The forward takes every group scale first, then
+codes X and applies the outer scales in row blocks of _BLOCK_BYTES of float64.
 
 The shared backbone runs in float through the matmul oracle; a layer's
 forward adds the integer-path output on top (or nothing when no skillpack
@@ -38,22 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, ValidationError
-from .quant import (
-    PER_CHANNEL,
-    PER_TENSOR,
-    QuantConfig,
-    QuantGrid,
-    calibration_hessian,
-    gptq_refine,
-    quantize,
-    count_clamped,
-    quantize_codes,
-    round_half_away,
-)
+from .quant import PER_CHANNEL, PER_TENSOR, QuantConfig, QuantGrid, calibration_hessian, count_clamped, gptq_refine
+from .quant import group_scales, quantize, round_half_away, scaled_codes
 from .tensors import matmul
 
 MAX_CONTRACTION = 1 << 16  # int32 accumulation guarantee: K * 127 * 127 < 2^31
 F32_EXACT_CONTRACTION = (1 << 24) // (128 * 128)  # float32 exactness for int8 codes: K * 128 * 128 <= 2^24
+_BLOCK_BYTES = 1 << 19  # float64 bytes of one row block of the forward, well inside L2
 
 
 @dataclass
@@ -79,9 +70,9 @@ class CompiledSkillLayer:
         self.smooth_inv = np.asarray(self.smooth_inv, dtype=np.float32).reshape(-1)
         if not np.isfinite(self.smooth_inv).all() or (self.smooth_inv <= 0).any():
             raise ValidationError("smoothing reciprocals must be positive and finite")
-        if self.a_hat.rows != self.smooth_inv.size:
+        if self.c_in != self.smooth_inv.size:
             raise ShapeError("smoothing vector length must match A's input dimension")
-        if self.a_hat.cols != self.b_hat.rows:
+        if self.rank != self.b_hat.codes.shape[0]:
             raise ShapeError("A columns must equal B rows (rank)")
         if self.a_hat.scale.granularity != PER_TENSOR:
             raise ValidationError("A must carry a per-tensor scale")
@@ -93,15 +84,15 @@ class CompiledSkillLayer:
 
     @property
     def c_in(self) -> int:
-        return self.a_hat.rows
+        return self.a_hat.codes.shape[0]
 
     @property
     def rank(self) -> int:
-        return self.a_hat.cols
+        return self.a_hat.codes.shape[1]
 
     @property
     def c_out(self) -> int:
-        return self.b_hat.cols
+        return self.b_hat.codes.shape[1]
 
     @property
     def s_a(self) -> float:
@@ -109,14 +100,20 @@ class CompiledSkillLayer:
 
 
 def gemm_i8_i32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of two integer code grids as float64 codes; equals the
-    int32 product while K <= MAX_CONTRACTION (see module notes)."""
+    """Exact product of two integer code grids as float64 codes (see module notes)."""
+    return _gemm(a, b).astype(np.float64, copy=False)
+
+
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One float32 product per chunk of K (see module notes); several are summed in float64."""
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"gemm shape mismatch: {a.shape} x {b.shape}")
     if a.shape[1] > MAX_CONTRACTION:
         raise ShapeError(f"contraction dimension {a.shape[1]} exceeds the int32 guarantee")
-    dtype = np.float32 if a.shape[1] <= F32_EXACT_CONTRACTION else np.float64
-    return (np.asarray(a, dtype=dtype) @ np.asarray(b, dtype=dtype)).astype(np.float64, copy=False)
+    n = F32_EXACT_CONTRACTION
+    if a.shape[1] <= n:
+        return np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)
+    return np.add(_gemm(a[:, :n], b[:n]), _gemm(a[:, n:], b[n:]), dtype=np.float64)
 
 
 def requant_mid(acc1: np.ndarray, mid_scale: float, diag: ForwardDiag | None = None) -> np.ndarray:
@@ -134,16 +131,20 @@ def requant_mid(acc1: np.ndarray, mid_scale: float, diag: ForwardDiag | None = N
 def _smoothed_gemm1(
     x_s: np.ndarray, a_hat: QuantGrid, config: QuantConfig, row_blocks: list[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize smoothed activations and run GEMM 1: (acc1, X scales)."""
-    x_codes, x_scales = quantize_codes(x_s, config.bits_x, config.gran_x, row_blocks)
-    return gemm_i8_i32(x_codes, a_hat.codes), x_scales
+    """Quantize smoothed activations and run GEMM 1: (acc1, X scales). Past
+    one row block, X's codes overwrite `x_s` (a temporary) block by block."""
+    scales = group_scales(x_s, config.bits_x, config.gran_x, row_blocks)
+    step = max(1, _BLOCK_BYTES // (8 * x_s.shape[1] or 1))
+    if len(x_s) <= step:  # one block: its float64 codes go to GEMM 1 as they are
+        return gemm_i8_i32(scaled_codes(x_s, scales, config.bits_x), a_hat.codes), scales
+    for i in range(0, len(x_s), step):
+        rows = slice(i, i + step)
+        x_s[rows] = scaled_codes(x_s[rows], scales[rows] if scales.ndim else scales, config.bits_x)
+    return gemm_i8_i32(x_s, a_hat.codes), scales
 
 
 def forward_quantized(
-    layer: CompiledSkillLayer,
-    x: np.ndarray,
-    diag: ForwardDiag | None = None,
-    row_blocks: list[int] | None = None,
+    layer: CompiledSkillLayer, x: np.ndarray, diag: ForwardDiag | None = None, row_blocks: list[int] | None = None
 ) -> np.ndarray:
     """Run the integer pipeline for one layer; output approximates x @ A @ B.
 
@@ -154,16 +155,22 @@ def forward_quantized(
         raise ShapeError(f"activations must be T x {layer.c_in}, got {x.shape}")
     x_s = np.asarray(x, dtype=np.float32) * layer.smooth_inv
     acc1, x_scales = _smoothed_gemm1(x_s, layer.a_hat, layer.config, row_blocks)
-    acc2 = gemm_i8_i32(requant_mid(acc1, layer.mid_scale, diag), layer.b_hat.codes)
+    del x_s  # X's codes, freed before GEMM 2
+    acc2 = _gemm(requant_mid(acc1, layer.mid_scale, diag), layer.b_hat.codes)
 
     b_scale = layer.b_hat.scale
     scalar = layer.s_a * layer.mid_scale
     if b_scale.granularity == PER_TENSOR:
         scalar *= float(b_scale.scales)
-    acc2 *= scalar * x_scales.astype(np.float64)
-    if b_scale.granularity == PER_CHANNEL:
-        acc2 *= b_scale.scales.astype(np.float64)
-    return acc2.astype(np.float32)
+    row_scale, col_scale = scalar * x_scales.astype(np.float64), b_scale.scales.astype(np.float64)
+    step = max(1, _BLOCK_BYTES // (8 * acc2.shape[1] or 1))
+    for i in range(0, len(acc2), step):  # float64 products, rounded once into acc2's rows
+        block = acc2[i : i + step].astype(np.float64)
+        block *= row_scale[i : i + step] if row_scale.ndim else row_scale
+        if b_scale.granularity == PER_CHANNEL:
+            block *= col_scale
+        acc2[i : i + step] = block
+    return acc2.astype(np.float32, copy=False)
 
 
 def forward_full(backbone_w: np.ndarray, layer: CompiledSkillLayer | None, x: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """The quantization rule, int4 packing, GPTQ-style refinement, and the
 1-bit sign+scale baseline.
 
-The rule, fixed on purpose, lives once in `quantize_codes` and
-`round_half_away`:
+The rule, fixed on purpose, lives once in `quantize_codes` (its scale step
+`group_scales`, then its code step `scaled_codes`) and `round_half_away`:
 
 * codes live in [-(2^(k-1)-1), 2^(k-1)-1]; the asymmetric extra code is
   never used, which makes quantize(-m) == -quantize(m) hold exactly;
@@ -13,7 +13,7 @@ The rule, fixed on purpose, lives once in `quantize_codes` and
   never -0.0.
 
 `quantize` builds the A and B grids on it, `kernel` quantizes activations
-per token or per request with it; the forward's mid step `kernel.requant_mid`
+with the two steps (codes in row blocks); the forward's mid step `requant_mid`
 and `gptq_refine` round against fixed scales with `round_half_away`, and
 `count_clamped` counts the mid clamps for a `ForwardDiag`.
 
@@ -76,8 +76,7 @@ class ScaleDescriptor:
     def row_col_vectors(self, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
         """Expand to (row_scale, col_scale) factors whose outer product is
         the per-element scale grid."""
-        ones_r = np.ones(rows, dtype=np.float32)
-        ones_c = np.ones(cols, dtype=np.float32)
+        ones_r, ones_c = np.ones(rows, dtype=np.float32), np.ones(cols, dtype=np.float32)
         if self.granularity == PER_TENSOR:
             return ones_r * self.scales, ones_c
         if self.granularity == PER_TOKEN:
@@ -106,14 +105,6 @@ class QuantGrid:
         if np.abs(c.astype(np.int32)).max(initial=0) > limit:
             raise ValidationError(f"codes exceed symmetric {self.bits}-bit range +-{limit}")
 
-    @property
-    def rows(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.codes.shape[1]
-
 
 @dataclass(frozen=True)
 class QuantConfig:
@@ -140,16 +131,8 @@ class QuantConfig:
             raise ValidationError(f"gran_b must be per-channel or per-tensor, got {self.gran_b!r}")
 
 
-def quantize_codes(
-    m: np.ndarray, bits: int, granularity: str, row_blocks: list[int] | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Float64 codes of a finite 2-D matrix and its float32 group scales.
-
-    The scales come back shaped to broadcast against `m`: () per tensor,
-    (rows, 1) per token, (1, cols) per channel. Per tensor with
-    `row_blocks`, each block of rows is its own tensor and the scales are
-    (rows, 1), repeated over the block.
-    """
+def group_scales(m: np.ndarray, bits: int, granularity: str, row_blocks: list[int] | None) -> np.ndarray:
+    """The scale step of `quantize_codes`: the float32 group scales of m."""
     if m.ndim != 2:
         raise ShapeError("quantize expects a 2-D matrix")
     if bits not in (4, 8):
@@ -170,14 +153,32 @@ def quantize_codes(
         raise ValidationError(f"unknown granularity {granularity!r}")
     if not np.isfinite(peaks).all():
         raise ValidationError("quantize input contains non-finite values")
-    limit = (1 << (bits - 1)) - 1
-    scales = peaks.astype(np.float64) / limit
+    scales = peaks.astype(np.float64) / ((1 << (bits - 1)) - 1)
     scales = np.where(scales == 0.0, 1.0, scales).astype(np.float32)  # all-zero group rule
     if not (scales > 0).all():  # a subnormal peak
         raise ValidationError("scales must be positive and finite")
+    return scales
+
+
+def scaled_codes(m: np.ndarray, scales: np.ndarray, bits: int) -> np.ndarray:
+    """The code step of `quantize_codes`: float64 codes of m for its scales."""
     codes = np.divide(m, scales, dtype=np.float64)
-    round_half_away(codes, limit)
-    return codes, scales
+    round_half_away(codes, (1 << (bits - 1)) - 1)
+    return codes
+
+
+def quantize_codes(
+    m: np.ndarray, bits: int, granularity: str, row_blocks: list[int] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 codes of a finite 2-D matrix and its float32 group scales.
+
+    The scales come back shaped to broadcast against `m`: () per tensor,
+    (rows, 1) per token, (1, cols) per channel. Per tensor with
+    `row_blocks`, each block of rows is its own tensor and the scales are
+    (rows, 1), repeated over the block.
+    """
+    scales = group_scales(m, bits, granularity, row_blocks)
+    return scaled_codes(m, scales, bits), scales
 
 
 def quantize(m: np.ndarray, bits: int, granularity: str) -> QuantGrid:
@@ -189,7 +190,7 @@ def quantize(m: np.ndarray, bits: int, granularity: str) -> QuantGrid:
 
 def dequantize(q: QuantGrid) -> np.ndarray:
     """Elementwise inverse: code times its group scale, in float32."""
-    row_s, col_s = q.scale.row_col_vectors(q.rows, q.cols)
+    row_s, col_s = q.scale.row_col_vectors(*q.codes.shape)
     return (q.codes.astype(np.float32) * row_s[:, None]) * col_s[None, :]
 
 
@@ -292,12 +293,9 @@ def pack_int4(codes: np.ndarray) -> bytes:
     flat = np.asarray(codes, dtype=np.int64).reshape(-1)
     if flat.size and (flat.min() < -8 or flat.max() > 7):
         raise ValidationError("int4 codes must lie in [-8, 7]")
-    nib = (flat & 0xF).astype(np.uint8)
-    if nib.size % 2:
-        nib = np.concatenate([nib, np.zeros(1, dtype=np.uint8)])
-    lo = nib[0::2]
-    hi = nib[1::2]
-    return ((hi << 4) | lo).astype(np.uint8).tobytes()
+    nib = np.zeros(flat.size + flat.size % 2, dtype=np.uint8)  # an odd count pads one zero nibble
+    nib[: flat.size] = flat & 0xF
+    return ((nib[1::2] << 4) | nib[0::2]).astype(np.uint8).tobytes()
 
 
 def unpack_int4(data: bytes, rows: int, cols: int) -> np.ndarray:
@@ -307,14 +305,9 @@ def unpack_int4(data: bytes, rows: int, cols: int) -> np.ndarray:
     if len(data) != expected:
         raise ValidationError(f"int4 payload must be {expected} bytes for {rows}x{cols}, got {len(data)}")
     raw = np.frombuffer(data, dtype=np.uint8)
-    lo = raw & 0xF
-    hi = raw >> 4
-    nib = np.empty(raw.size * 2, dtype=np.uint8)
-    nib[0::2] = lo
-    nib[1::2] = hi
+    nib = np.stack([raw & 0xF, raw >> 4], axis=1).reshape(-1)  # low nibble first
     if n % 2 and nib[n] != 0:
         raise ValidationError("trailing int4 pad nibble must be zero")
-    nib = nib[:n]
-    signed = nib.astype(np.int16)
+    signed = nib[:n].astype(np.int8)
     signed[signed >= 8] -= 16
-    return signed.astype(np.int8).reshape(rows, cols)
+    return signed.reshape(rows, cols)

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,15 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skillzip import (
+    Batch,
     CompiledSkillLayer,
     ForwardDiag,
+    ForwardRequest,
     QuantConfig,
     QuantGrid,
     ScaleDescriptor,
     ShapeError,
+    SkillRegistry,
+    Skillpack,
     ValidationError,
     compile_layer,
     dequantize,
+    dispatch_batch,
+    dispatch_sequential,
     forward_full,
     forward_quantized,
     gemm_i8_i32,
@@ -555,6 +562,45 @@ def test_gemm_past_float32_bound_is_float64():
     assert gemm_i8_i32(a, np.ascontiguousarray(a.T)).tolist() == [[float((1 << 24) + 1)]]
 
 
+@pytest.mark.parametrize("k", [1025, 2048, 2049, 3 * 1024 + 7])
+def test_gemm_sums_float32_chunks_exactly(k):
+    """Past F32_EXACT_CONTRACTION, K is cut into chunks of float32 products
+    summed in float64: all -128 codes make each full chunk exactly 2^24,
+    one trailing product of 1 makes an odd sum past 2^24 that no float32
+    holds, and the +-127 rows and seeded patterns equal the int64 product,
+    for int8 and float32 code grids alike."""
+    lowest = np.full((1, k), -128, dtype=np.int8)
+    assert gemm_i8_i32(lowest, np.ascontiguousarray(lowest.T)).tolist() == [[float(k << 14)]]
+    lowest[0, -1] = 1
+    assert gemm_i8_i32(lowest, np.ascontiguousarray(lowest.T)).tolist() == [[float(((k - 1) << 14) + 1)]]
+    a = _extreme_codes(8, k)
+    b = np.ascontiguousarray(_extreme_codes(8, k).T)
+    want = a.astype(np.int64) @ b.astype(np.int64)
+    got = gemm_i8_i32(a, b)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
+    assert gemm_i8_i32(a.astype(np.float32), b.astype(np.float32)).tobytes() == got.tobytes()
+
+
+def test_forward_transient_memory_stays_in_row_blocks():
+    """At T = 512, C = 2048, R = 128 the forward keeps X's float32 codes and
+    float64 row blocks: its tracemalloc peak is 8.0 MB (20.0 MB when X's
+    codes and the outer rescale were whole float64 matrices), and one more
+    whole T x C float64 temporary (8 MB) would cross the 10 MB bound."""
+    rng = Prng(990)
+    smooth = rng.uniform_matrix(1, 2048, 0.5, 2.0).reshape(-1)
+    x_calib = rng.uniform_matrix(16, 2048, -2.0, 2.0)
+    layer = compile_layer("wide", smooth, rng.gauss_matrix(2048, 128), rng.gauss_matrix(128, 2048), QuantConfig(), x_calib=x_calib)
+    x = rng.uniform_matrix(512, 2048, -2.0, 2.0)
+    tracemalloc.start()
+    try:
+        forward_quantized(layer, x, row_blocks=[256, 256])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20, peak
+
+
 # ---------------------------------------------------------------------------
 # Calibration and serving against the frozen reference kernel
 
@@ -612,6 +658,50 @@ def test_stages_match_reference_kernel(seed, shape, bits, gran_x, gran_b, use_gp
     assert out.tobytes() == want_out.tobytes()
     assert diag.mid_saturated == want_sat
     assert [call.args[1] for call in spy.call_args_list] == want_scales
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    c_in=st.integers(F32_EXACT_CONTRACTION + 1, 2100),
+    rank=st.integers(1, 3),
+    bits_x=st.sampled_from([4, 8]),
+    gran_x=st.sampled_from([PER_TOKEN, PER_TENSOR]),
+    gran_b=st.sampled_from([PER_CHANNEL, PER_TENSOR]),
+    sizes=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+    gains=st.lists(st.sampled_from([0.25, 1.0, 8.0]), min_size=7, max_size=7),
+)
+def test_wide_forward_matches_reference_across_row_blocks(seed, c_in, rank, bits_x, gran_x, gran_b, sizes, gains):
+    """Past K = F32_EXACT_CONTRACTION (GEMM 1 in float32 chunks), with more
+    tokens than one internal row block: compile_layer's mid scale and
+    forward_quantized's output equal the reference bit for bit, per token
+    and per tensor, with requests of 0 to 40 rows (each at its own
+    magnitude) that cross the row-block boundary, and dispatch_batch equals
+    dispatch_sequential."""
+    rng = Prng(seed)
+    smooth = rng.uniform_matrix(1, c_in, 0.25, 4.0).reshape(-1)
+    a, b = rng.gauss_matrix(c_in, rank), rng.gauss_matrix(rank, 3)
+    x_calib = outlier_activations(rng, 6, c_in, 2.0, [c_in - 1], 30.0)
+    config = QuantConfig(bits_x=bits_x, gran_x=gran_x, gran_b=gran_b)
+    layer = compile_layer("l", smooth, a, b, config, x_calib=x_calib)
+    want_layer = kernel_reference.compile_layer(smooth, a, b, config, x_calib, False)
+    assert np.float64(layer.mid_scale).tobytes() == np.float64(want_layer.mid_scale).tobytes()
+
+    block_rows = kernel._BLOCK_BYTES // (8 * c_in)
+    sizes = sizes + [max(0, block_rows + 1 - sum(sizes))]  # more rows than one block
+    x = np.concatenate([rng.uniform_matrix(n, c_in, -2.0 * g, 2.0 * g) for n, g in zip(sizes, gains)])
+    diag = ForwardDiag()
+    out = forward_quantized(layer, x, diag=diag, row_blocks=sizes)
+    want_out, want_sat, _ = kernel_reference.forward_quantized(layer, x, sizes)
+    assert out.tobytes() == want_out.tobytes()
+    assert diag.mid_saturated == want_sat
+    assert forward_quantized(layer, x).tobytes() == kernel_reference.forward_quantized(layer, x)[0].tobytes()
+
+    registry = SkillRegistry({"w": rng.uniform_matrix(c_in, 3, -1.0, 1.0)}, "w", {"t": Skillpack("t", {"w": layer})})
+    starts = np.cumsum([0] + sizes)
+    batch = Batch([ForwardRequest("t", x[lo:hi]) for lo, hi in zip(starts[:-1], starts[1:])])
+    batched, sequential = dispatch_batch(batch, registry), dispatch_sequential(batch, registry)
+    assert [o.tobytes() for o in batched] == [o.tobytes() for o in sequential]
 
 
 def test_calibration_divides_and_serving_multiplies():

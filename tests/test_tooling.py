@@ -125,12 +125,17 @@ def test_bench_summary_on_synthetic_records(tmp_path):
 
 def _stub_run_py(op_ms):
     """A perfbench/run.py stand-in: writes a synthetic record where the real
-    one does and logs which tree ran, from the tree's root, to ../order.log."""
+    one does (per-layer metrics, scaled by op_ms, when traced) and logs which
+    tree ran, from the tree's root, to ../order.log."""
     record = json.dumps(_perfbench_record("w", 0, op_ms, "sha"))
+    traced = json.dumps({"kernel.forward_quantized_s": {"value": op_ms / 1e5, "unit": "s"}, "bench.flop_ratio": {"value": 4.0, "unit": "ratio"}})
     return f"""import json, os, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 record = json.loads({record!r})
 record["context"].update(workload=args["--workload"], seed=int(args["--seed"]), trace=int(args["--trace"]))
+if args["--trace"] == "1":
+    record["result"]["metrics"] = json.loads({traced!r})
+    record["context"]["missing_patch_points"] = []
 out = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_out")
 os.makedirs(out, exist_ok=True)
 with open(os.path.join(out, args["--workload"] + "-seed" + args["--seed"] + "-trace" + args["--trace"] + ".json"), "w") as f:
@@ -140,12 +145,9 @@ with open(os.path.join("..", "order.log"), "a") as f:
 """
 
 
-@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
-def test_bench_ab_alternates_parent_and_working_tree_copies(tmp_path):
-    """scripts/bench_ab.py copies a commit and the working tree (with its
-    untracked files) into sibling directories, alternates the side that runs
-    first from one pair of a workload to the next, and summarizes the
-    records."""
+def _ab_repo(tmp_path):
+    """A git repository whose committed stub run.py reports 2000 ms and whose
+    working tree's reports 1000 ms, plus an untracked file."""
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     git = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
@@ -155,7 +157,16 @@ def test_bench_ab_alternates_parent_and_working_tree_copies(tmp_path):
     subprocess.run([*git, "commit", "-qm", "parent"], check=True)
     (repo / "perfbench" / "run.py").write_text(_stub_run_py(1000.0))
     (repo / "untracked.txt").write_text("change only")
+    return repo
 
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_bench_ab_alternates_parent_and_working_tree_copies(tmp_path):
+    """scripts/bench_ab.py copies a commit and the working tree (with its
+    untracked files) into sibling directories, alternates the side that runs
+    first from one pair of a workload to the next, and summarizes the
+    records."""
+    repo = _ab_repo(tmp_path)
     root, dest = tmp_path / "ab", tmp_path / "BENCH.json"
     argv = ["--repo", str(repo), "--parent", "HEAD", "--root", str(root), "--out", str(dest), "--seconds", "0.5"]
     argv += ["--workload", "serve-long", "--workload", "compress-exact", "--seeds", "3", "4"]
@@ -173,3 +184,28 @@ def test_bench_ab_alternates_parent_and_working_tree_copies(tmp_path):
     assert (root / "change" / "untracked.txt").exists() and not (root / "parent" / "untracked.txt").exists()
     again = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_ab.py"), *argv], capture_output=True, text=True)
     assert again.returncode == 2 and "not empty" in again.stderr
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_bench_ab_traced_runs_reach_the_summary(tmp_path):
+    """With --traced, scripts/bench_ab.py adds one --trace 1 run per side and
+    workload (first seed) after the pairs; the summary keeps the end-to-end
+    metrics of the untraced runs only and, per side, the traced metrics and
+    the missed patch points."""
+    repo = _ab_repo(tmp_path)
+    root, dest = tmp_path / "ab", tmp_path / "BENCH.json"
+    argv = ["--repo", str(repo), "--parent", "HEAD", "--root", str(root), "--out", str(dest), "--seconds", "0.5"]
+    argv += ["--workload", "serve-long", "--seeds", "3", "4", "--traced"]
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_ab.py"), *argv], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    entry = json.loads(dest.read_text())["serve-long"]
+    assert entry["pairs"] == 2 and entry["parent"]["runs"] == entry["change"]["runs"] == 2
+    assert entry["change_over_parent_median"]["op_ms_p50"] == pytest.approx(0.5)
+    for side, seconds in (("parent", 0.02), ("change", 0.01)):
+        traced = entry["traced"][side]
+        assert traced["runs"] == 1 and traced["missing_patch_points"] == []
+        assert traced["kernel.forward_quantized_s"] == pytest.approx(seconds) and traced["bench.flop_ratio"] == 4.0
+    assert sorted(p.name for p in (root / "records" / "change" / "traced").iterdir()) == ["serve-long-seed3-trace1.json"]
+    runs = (root / "order.log").read_text().split()
+    assert runs[-4:] == ["parent", "serve-long", "change", "serve-long"]
+    assert "serve-long traced change: kernel.forward_quantized_s 0.01, bench.flop_ratio 4; missing patch points none" in proc.stdout
