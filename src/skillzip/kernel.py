@@ -153,22 +153,22 @@ def forward_quantized(
     per-request execution code for code."""
     if x.ndim != 2 or x.shape[1] != layer.c_in:
         raise ShapeError(f"activations must be T x {layer.c_in}, got {x.shape}")
-    x_s = np.asarray(x, dtype=np.float32) * layer.smooth_inv
-    acc1, x_scales = _smoothed_gemm1(x_s, layer.a_hat, layer.config, row_blocks)
-    del x_s  # X's codes, freed before GEMM 2
+    acc1, s_x = _smoothed_gemm1(np.asarray(x, np.float32) * layer.smooth_inv, layer.a_hat, layer.config, row_blocks)
     acc2 = _gemm(requant_mid(acc1, layer.mid_scale, diag), layer.b_hat.codes)
 
     b_scale = layer.b_hat.scale
     scalar = layer.s_a * layer.mid_scale
     if b_scale.granularity == PER_TENSOR:
         scalar *= float(b_scale.scales)
-    row_scale, col_scale = scalar * x_scales.astype(np.float64), b_scale.scales.astype(np.float64)
+    row_scale, col_scale = scalar * s_x.astype(np.float64), b_scale.scales.astype(np.float64)
     step = max(1, _BLOCK_BYTES // (8 * acc2.shape[1] or 1))
     for i in range(0, len(acc2), step):  # float64 products, rounded once into acc2's rows
         block = acc2[i : i + step].astype(np.float64)
         block *= row_scale[i : i + step] if row_scale.ndim else row_scale
         if b_scale.granularity == PER_CHANNEL:
             block *= col_scale
+        if len(acc2) <= step:  # one block: a fresh float32 output, faster on short groups than writing back
+            return block.astype(np.float32)
         acc2[i : i + step] = block
     return acc2.astype(np.float32, copy=False)
 
