@@ -29,7 +29,7 @@ rng = Prng(7)
 
 # Activations with 4 channels 100x louder than the rest.
 outliers = rng.spawn("outliers").choice_indices(96, 4)
-x = outlier_activations(rng.spawn("x"), tokens=64, channels=96, base_range=15.0, columns=outliers, ratio=100.0)
+x = outlier_activations(rng.spawn("x"), tokens=64, channels=96, columns=outliers, ratio=100.0)
 w = rng.gauss_matrix(96, 96) * np.float32(0.2)
 
 print("=== the outlier problem ===")

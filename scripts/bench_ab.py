@@ -10,11 +10,13 @@ fresh directory of the same depth: serve timings have been seen to differ
 by a few percent between a checkout's own directory and a copy of it. For
 each seed and workload, one untraced run (`perfbench/run.py --trace 0`, from
 the tree's root) of each side makes a pair, and the side that goes first
-alternates from one pair of a workload to the next. With --traced, one traced
-run (`--trace 1`, first seed) of each side and workload follows the pairs; its
-per-layer metrics go into --out next to the end-to-end ones. The records are
-kept under DIR/records/<side>/, and scripts/bench_summary.py turns them into
---out. DIR must be new or empty. Standard library only; needs git on PATH.
+alternates from one pair of a workload to the next. Each pair line prints the
+1-minute load average taken just before the run, so a run beside another
+busy process stands out. With --traced, one traced run (`--trace 1`, first
+seed) of each side and workload follows the pairs; its per-layer metrics go
+into --out next to the end-to-end ones. The records are kept under
+DIR/records/<side>/, and scripts/bench_summary.py turns them into --out.
+DIR must be new or empty. Standard library only; needs git on PATH.
 """
 
 from __future__ import annotations
@@ -88,10 +90,11 @@ def main(argv: list[str] | None = None) -> int:
         for workload in args.workload:
             for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
                 pair = os.path.join(records, side, f"pair{k:03d}")
+                load1 = os.getloadavg()[0]  # a second busy process on the machine shows here
                 path = run_once(trees[side], workload, seed, args.seconds, pair, 0)
                 with open(path, encoding="utf-8") as f:
                     op_ms = json.load(f)["result"]["metrics"]["op_ms_p50"]["value"]
-                print(f"pair {k} {workload} seed {seed} {side}: op_ms_p50 {op_ms:.3f} ms", flush=True)
+                print(f"pair {k} {workload} seed {seed} {side}: op_ms_p50 {op_ms:.3f} ms, load1 {load1:.2f}", flush=True)
     for workload in args.workload if args.traced else ():
         for side in ("parent", "change"):
             run_once(trees[side], workload, args.seeds[0], args.seconds, os.path.join(records, side, "traced"), 1)

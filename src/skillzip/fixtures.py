@@ -39,14 +39,11 @@ def _low_rank(rng: Prng, c_in: int, c_out: int, rank: int, scale: float, decay: 
     return total.astype(np.float32)
 
 
-def outlier_activations(
-    rng: Prng, tokens: int, channels: int, base_range: float, columns: list[int], ratio: float
-) -> np.ndarray:
-    """Uniform activations in [-base_range, base_range] with `columns`
-    scaled by `ratio`. Deterministic under the generator's state."""
-    x = rng.uniform_matrix(tokens, channels, -base_range, base_range)
-    if columns and ratio > 1.0:
-        x[:, columns] *= np.float32(ratio)
+def outlier_activations(rng: Prng, tokens: int, channels: int, columns: list[int], ratio: float) -> np.ndarray:
+    """Uniform activations in [-15, 15] with `columns` scaled by `ratio`.
+    Deterministic under the generator's state."""
+    x = rng.uniform_matrix(tokens, channels, -15.0, 15.0)
+    x[:, columns] *= np.float32(ratio)
     return x
 
 
@@ -71,6 +68,8 @@ def make_suite(
             raise ValidationError(f"suite size {name}={size} gives an empty shape; every size must be >= 1")
     if not (0 <= outlier_channels < c_in):
         raise ValidationError(f"outlier channel count must lie in [0, {c_in}), got {outlier_channels}")
+    if not (np.isfinite(outlier_ratio) and outlier_ratio >= 1.0):
+        raise ValidationError(f"outlier ratio must be finite and >= 1, got {outlier_ratio!r}")
     rng = Prng(seed)
     layer_names = [f"layer{i}" for i in range(n_layers)]
     tasks = list(TASK_NAMES[:n_tasks]) + [f"task{i}" for i in range(len(TASK_NAMES), n_tasks)]
@@ -87,8 +86,8 @@ def make_suite(
         shared_parts[name] = _low_rank(lrng.spawn("shared"), c_in, c_out, shared_rank, scale=1.0, decay=0.85)
 
         cols = lrng.spawn("outliers").choice_indices(c_in, outlier_channels) if outlier_channels else []
-        calib[name] = outlier_activations(lrng.spawn("calib"), calib_tokens, c_in, 15.0, cols, outlier_ratio)
-        eval_x[name] = outlier_activations(lrng.spawn("eval"), eval_tokens, c_in, 15.0, cols, outlier_ratio)
+        calib[name] = outlier_activations(lrng.spawn("calib"), calib_tokens, c_in, cols, outlier_ratio)
+        eval_x[name] = outlier_activations(lrng.spawn("eval"), eval_tokens, c_in, cols, outlier_ratio)
 
         for task in tasks:
             part = _low_rank(lrng.spawn(f"task/{task}"), c_in, c_out, task_rank, scale=0.6, decay=0.7)

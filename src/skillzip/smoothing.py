@@ -14,18 +14,19 @@ drawn from a seeded generator; each is scored by the end-to-end quantized
 reconstruction error on calibration activations and the identity is always
 in the pool, so a selected rotation can never score worse than no rotation.
 
-A layer's candidates are drawn in lockstep: one block of Gaussians for a
-chunk of candidates, then one modified Gram-Schmidt over a (count, r, r)
-stack, where each projection step is one stacked vector-vector `np.matmul`
-(one strided BLAS ddot per candidate, the same call a lone candidate's
-`ndarray.dot` makes) and one elementwise multiply and subtract. Every
-rotation is bit-identical to drawing the candidates one after another, and
-`sample_rotation` is the one-candidate case.
+A layer's candidates are drawn in lockstep: candidate k reads the k-th
+block of r^2 Gaussians of the layer's stream, a chunk of candidates takes
+one block of draws, and one modified Gram-Schmidt runs over the (count, r,
+r) stack, each projection step one stacked vector-vector `np.matmul` (one
+strided BLAS ddot per candidate, the same call a lone candidate's
+`ndarray.dot` makes) and one elementwise multiply and subtract, so every
+rotation is bit-identical to drawing it alone. A candidate whose draws are
+not full rank is never used.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,6 @@ DEFAULT_ALPHA = 0.7
 DEFAULT_EPSILON = 1e-5
 DEFAULT_CANDIDATES = 10
 MAX_CANDIDATES = 256  # bounds one layer's rotation search; the SKZ index field is u32
-MAX_REDRAWS = 50  # redraws of one degenerate rotation column before giving up
 # Cap on the float64 bytes of one lockstep chunk's draw block and basis
 # stack (16 r^2 per candidate): all 10 default candidates at r = 64, one
 # at a time from r = 512 on.
@@ -84,105 +84,77 @@ def apply_smooth(x: np.ndarray, w: np.ndarray, s: np.ndarray) -> tuple[np.ndarra
     return x_s, w_s
 
 
-def _gram_schmidt(w: np.ndarray, redraw: Callable[[int], np.ndarray]) -> np.ndarray:
+def _gram_schmidt(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal float64 bases q[k] (column i is q[k, :, i]) for the
-    draws w[k, j], candidate k's draw for its column j, in lockstep.
+    draws w[k, j], candidate k's draw for its column j, in lockstep, and
+    the mask of candidates whose draws are full rank.
 
     Modified Gram-Schmidt with one reorthogonalization pass; each column's
     leading non-negligible entry is made positive so the same seed gives
-    the same matrix everywhere. A lone candidate replaces a degenerate
-    column (norm <= 1e-8) with the next r draws, the rest of its own w and
-    then `redraw(r)`, at most MAX_REDRAWS times. In a stack, the first
-    candidate with a degenerate column ends it: only the bases before it
-    are returned, and w, which only a lone retry writes, is left as it was
-    so the caller can rerun the others alone in stream order.
+    the same matrix everywhere. A candidate with a column of residual norm
+    <= 1e-8 is not full rank; that norm is taken as 1 to keep it finite.
     """
     count, r, _ = w.shape
-    lone = count == 1
     q = np.empty((count, r, r))
     col = np.empty((count, r))
     proj = np.empty((count, r))
     dot = np.empty((count, 1, 1))
     norms = np.empty(count)
+    full = np.ones(count, dtype=bool)
     matmul, multiply, subtract = np.matmul, np.multiply, np.subtract
     for j in range(r):
-        for attempt in range(MAX_REDRAWS + 1):
-            if attempt:
-                w[0, j:-1] = w[0, j + 1 :]
-                w[0, -1] = redraw(r)
-            np.copyto(col, w[:, j])
-            # One strided ddot per candidate: q[k, :, i] keeps the stride
-            # r*8 of a lone basis column. A contiguous copy of it, einsum
-            # or a sum reduction would add in another order.
-            for _ in range(2):  # MGS with reorthogonalization
-                for i in range(j):
-                    qi = q[:, :, i]
-                    matmul(qi[:, None, :], col[:, :, None], out=dot)
-                    multiply(qi, dot[:, 0], out=proj)
-                    subtract(col, proj, out=col)
-            for k in range(count):
-                norms[k] = np.linalg.norm(col[k])
-            degenerate = np.flatnonzero(norms <= 1e-8)
-            if not degenerate.size:
-                break
-            if not lone:
-                count = int(degenerate[0])
-                w, q, col, norms = w[:count], q[:count], col[:count], norms[:count]
-                proj, dot = proj[:count], dot[:count]
-                if not count:
-                    return q
-                break
-        else:
-            raise ValidationError("could not draw a full-rank Gaussian basis")
+        np.copyto(col, w[:, j])
+        # One strided ddot per candidate: q[k, :, i] keeps the stride
+        # r*8 of a lone basis column. A contiguous copy of it, einsum
+        # or a sum reduction would add in another order.
+        for _ in range(2):  # MGS with reorthogonalization
+            for i in range(j):
+                qi = q[:, :, i]
+                matmul(qi[:, None, :], col[:, :, None], out=dot)
+                multiply(qi, dot[:, 0], out=proj)
+                subtract(col, proj, out=col)
+        for k in range(count):
+            norms[k] = np.linalg.norm(col[k])
+        degenerate = norms <= 1e-8
+        if degenerate.any():
+            full[degenerate] = False
+            norms[degenerate] = 1.0
         col /= norms[:, None]
         peak = np.max(np.abs(col), axis=1, keepdims=True)
         lead = np.argmax(np.abs(col) > 1e-12 * peak, axis=1)
         np.negative(col, out=col, where=col[np.arange(count), lead][:, None] < 0)
         q[:, :, j] = col
-    return q
+    return q, full
 
 
-def _draw_rotations(prng: Prng, r: int, count: int) -> Iterator[np.ndarray]:
-    """`count` random orthogonal float32 (r, r) matrices in stream order.
+def _draw_rotations(prng: Prng, r: int, count: int) -> Iterator[np.ndarray | None]:
+    """`count` random orthogonal float32 (r, r) matrices in stream order,
+    None for a candidate whose draws are not full rank.
 
-    Candidate k reads the next r*r Gaussians, column by column, and its
-    retries read on from there. Chunks of candidates take one block of
-    draws and run `_gram_schmidt` in lockstep; when a candidate needs a
-    retry, it and the rest of its chunk rerun alone from its offset in the
-    block, reading past the block into the stream as one call each would.
+    Candidate k reads Gaussians [k r^2, (k + 1) r^2) of the stream, column
+    by column. Chunks of candidates take one block of draws and run
+    `_gram_schmidt` in lockstep.
     """
     if not count:
         return
     if r < 1:
         raise ValidationError("rotation size must be >= 1")
-
-    def take(size: int) -> np.ndarray:
-        """The next `size` draws: the rest of the block, then the stream."""
-        nonlocal cursor
-        head = block[cursor : cursor + size]
-        cursor += head.size
-        return np.concatenate([head, prng.gauss_block(size - head.size)])
-
     per_chunk = max(1, _LOCKSTEP_BYTES // (16 * r * r))
     for start in range(0, count, per_chunk):
         n = min(per_chunk, count - start)
-        block = prng.gauss_block(n * r * r)
-        cursor = block.size  # a lone candidate's retries read the stream
-        bases = _gram_schmidt(block.reshape(n, r, r), take)
-        cursor = len(bases) * r * r
-        for basis in bases:
-            yield basis.astype(np.float32)
-        for _ in range(len(bases), n):
-            yield _gram_schmidt(take(r * r).reshape(1, r, r), take)[0].astype(np.float32)
+        bases, full = _gram_schmidt(prng.gauss_block(n * r * r).reshape(n, r, r))
+        for basis, ok in zip(bases, full):
+            yield basis.astype(np.float32) if ok else None
 
 
 def sample_rotation(prng: Prng, r: int) -> np.ndarray:
-    """Random orthogonal R x R float32 matrix from a seeded Gaussian draw.
-
-    The same seed gives the same matrix everywhere; degenerate draws are
-    replaced column by column from the stream, at most MAX_REDRAWS times.
-    """
-    return next(_draw_rotations(prng, r, 1))
+    """Random orthogonal R x R float32 matrix from a seeded Gaussian draw
+    of r^2 values. The same seed gives the same matrix everywhere; a draw
+    that is not full rank is refused."""
+    q = next(_draw_rotations(prng, r, 1))
+    if q is None:
+        raise ValidationError("could not draw a full-rank Gaussian basis")
+    return q
 
 
 def fold_rotation(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,13 +190,14 @@ def select_rotation(
 ) -> RotationChoice:
     """Pick the rotation minimizing end-to-end quantized reconstruction loss.
 
-    Candidate 0 is the identity; `n_candidates` random rotations follow.
-    Ties break toward the lowest index, so the identity wins when nothing
-    improves on it.
+    Candidate 0 is the identity; `n_candidates` random rotations follow,
+    candidate k from the k-th block of r^2 Gaussians of `prng`, and one that
+    is not full rank is skipped. Ties break toward the lowest index, so the
+    identity wins when nothing improves on it.
     """
     if a.shape[1] != b.shape[0]:
         raise ShapeError("factor rank mismatch")
-    if x_calib.shape[1] != a.shape[0]:
+    if x_calib.ndim != 2 or x_calib.shape[1] != a.shape[0]:
         raise ShapeError("calibration activations do not match A's input dimension")
     if not 0 <= n_candidates <= MAX_CANDIDATES:
         raise ValidationError(f"candidate count must lie in 0..{MAX_CANDIDATES}, got {n_candidates}")
@@ -233,6 +206,8 @@ def select_rotation(
 
     best = RotationChoice(np.eye(r, dtype=np.float32), 0, _candidate_loss(a, b, x_calib, reference, config))
     for idx, q in enumerate(_draw_rotations(prng, r, n_candidates), start=1):
+        if q is None:
+            continue
         a_rot, b_rot = fold_rotation(a, b, q)
         loss = _candidate_loss(a_rot, b_rot, x_calib, reference, config)
         if loss < best.loss:

@@ -10,7 +10,7 @@ def _synth(seed, tokens, channels, n_outliers, ratio):
     """Outlier activations with `n_outliers` random columns scaled by `ratio`."""
     rng = Prng(seed)
     cols = rng.spawn("outliers").choice_indices(channels, n_outliers)
-    return outlier_activations(rng, tokens, channels, 15.0, cols, ratio)
+    return outlier_activations(rng, tokens, channels, cols, ratio)
 
 
 def test_profile_uniform_signs():

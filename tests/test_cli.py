@@ -307,6 +307,17 @@ def test_gen_synth_degenerate_size_exit_code(tmp_path, capsys, flag, value, name
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ratio", ["0.5", "nan", "-3"])
+def test_gen_synth_bad_outlier_ratio_exit_code(tmp_path, capsys, ratio):
+    """An outlier ratio below 1 or not finite would write fixtures with no
+    outlier channels; it is refused before anything is written."""
+    out = tmp_path / "f"
+    argv = ["gen-synth", "--out", str(out), "--channels", "8", "--tokens", "4", "--outliers", "1", "--ratio", ratio]
+    assert main(argv) == 2
+    assert "outlier ratio must be finite and >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_exit_code(fixture_dir, tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text('{"toggles": {"merge": "no"}}')

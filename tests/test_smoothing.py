@@ -156,39 +156,6 @@ class _ScriptedDraws:
         return np.array(self.values[self.pos - n : self.pos], dtype=np.float64)
 
 
-def _script(r, degenerate_at, retries):
-    """r*r + r*retries draws; column `degenerate_at` (and each retry but the
-    last) repeats an earlier column or is all zeros."""
-    rng = np.random.default_rng(r * 100 + degenerate_at)
-    cols = [rng.standard_normal(r) for _ in range(r + retries)]
-    for k in range(retries):
-        cols[degenerate_at + k] = 2.0 * cols[0] if degenerate_at and k % 2 == 0 else np.zeros(r)
-    return np.concatenate(cols)
-
-
-@pytest.mark.parametrize("r,degenerate_at,retries", [(3, 0, 1), (3, 1, 1), (4, 3, 2), (5, 2, 3), (6, 1, 4)])
-def test_rotation_retry_path_matches_per_draw_oracle(r, degenerate_at, retries):
-    """Degenerate columns are redrawn from the stream in the same order:
-    the retry reads past the r*r block and later columns follow it."""
-    values = _script(r, degenerate_at, retries)
-    new, old = _ScriptedDraws(values), _ScriptedDraws(values)
-    q = sample_rotation(new, r)
-    assert q.tobytes() == _sample_rotation_per_draw(old, r).tobytes()
-    assert new.pos == old.pos == r * (r + retries)
-    q64 = q.astype(np.float64)
-    assert np.abs(q64.T @ q64 - np.eye(r)).max() < 1e-6
-
-
-def test_rotation_retry_exhaustion_matches_oracle(monkeypatch):
-    r = 2
-    values = np.concatenate([np.ones(r), np.zeros(r * 4)])
-    monkeypatch.setattr(smoothing, "MAX_REDRAWS", 3)
-    with pytest.raises(ValidationError, match="full-rank"):
-        sample_rotation(_ScriptedDraws(values), r)
-    with pytest.raises(ValidationError, match="full-rank"):
-        _sample_rotation_per_draw(_ScriptedDraws(values), r, max_attempts=3)
-
-
 @pytest.mark.parametrize("r", [1, 2, 6, 27, 32, 33, 64])
 def test_rotation_matches_per_draw_oracle(r):
     a, b = Prng(500 + r), Prng(500 + r)
@@ -245,7 +212,8 @@ def test_lockstep_float64_bases_match_oracle(r):
     every float64 bit, so the stacked dots add in the lone dots' order."""
     count = 4
     w = Prng(960 + r).gauss_block(count * r * r).reshape(count, r, r)
-    got = smoothing._gram_schmidt(w.copy(), None)
+    got, full = smoothing._gram_schmidt(w.copy())
+    assert full.all()
     for k in range(count):
         want = _sample_rotation_per_draw(_ScriptedDraws(w[k].reshape(-1)), r, dtype=np.float64)
         assert got[k].tobytes() == want.tobytes()
@@ -281,41 +249,53 @@ def test_default_cap_bounds_the_stack():
     assert smoothing._LOCKSTEP_BYTES // _lockstep_bytes(512, 1) <= 1
 
 
-def _candidates_script(r, count, failing):
-    """`count` candidates' draws in stream order; candidate k in `failing`
-    gets a degenerate column at `failing[k] = (degenerate_at, retries)`."""
-    parts = []
-    for k in range(count):
-        if k in failing:
-            parts.append(_script(r, *failing[k]))
-        else:
-            parts.append(np.random.default_rng(7000 + 10 * r + k).standard_normal(r * r))
-    return np.concatenate(parts)
+def _degenerate_block(r, column, seed):
+    """r*r draws, column by column, whose `column` is all zeros (column 0)
+    or twice column 0, so its residual norm is <= 1e-8."""
+    cols = np.random.default_rng(seed).standard_normal((r, r))
+    cols[column] = 2.0 * cols[0] if column else 0.0
+    return cols.reshape(-1)
 
 
-@pytest.mark.parametrize("per_chunk", [None, 2])
-@pytest.mark.parametrize(
-    "r,count,failing",
-    [
-        (4, 5, {0: (1, 1)}),
-        (4, 5, {2: (2, 2)}),
-        (4, 5, {4: (3, 1)}),
-        (5, 6, {1: (0, 1), 3: (2, 3)}),
-        (3, 4, {0: (2, 1), 1: (1, 2)}),
-    ],
-    ids=["first", "middle", "last", "two", "first-two"],
-)
-def test_lockstep_retry_matches_sequential_oracle(r, count, failing, per_chunk, monkeypatch):
-    """A retry in any candidate reruns it and the rest of its chunk alone:
-    the bytes and the number of draws read equal `count` sequential calls."""
+def _blocks_script(r, count, degenerate):
+    """`count` candidates' r*r blocks in stream order; candidate k in
+    `degenerate` gets the degenerate column `degenerate[k]`."""
+    rng = np.random.default_rng(7000 + r)
+    blocks = [
+        _degenerate_block(r, degenerate[k], 7100 + k) if k in degenerate else rng.standard_normal(r * r)
+        for k in range(count)
+    ]
+    return blocks, np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("per_chunk", [None, 3])
+@pytest.mark.parametrize("column", [0, 2, 4])
+@pytest.mark.parametrize("failing", [0, 1, 2, 4])
+def test_degenerate_candidate_yields_none_and_uses_up_its_block(failing, column, per_chunk, monkeypatch):
+    """A candidate with a degenerate column, first, middle or last in its
+    chunk (3 + a cut chunk of 2, or all 5 in one), yields None; every other
+    candidate is the per-draw MGS of its own r*r block, and exactly
+    count*r*r draws are read."""
+    r, count = 5, 5
     if per_chunk is not None:
         monkeypatch.setattr(smoothing, "_LOCKSTEP_BYTES", _lockstep_bytes(r, per_chunk))
-    values = _candidates_script(r, count, failing)
-    new, old = _ScriptedDraws(values), _ScriptedDraws(values)
-    got = list(smoothing._draw_rotations(new, r, count))
-    want = [_sample_rotation_per_draw(old, r) for _ in range(count)]
-    assert [q.tobytes() for q in got] == [q.tobytes() for q in want]
-    assert new.pos == old.pos == values.size
+    blocks, values = _blocks_script(r, count, {failing: column})
+    source = _ScriptedDraws(values)
+    got = list(smoothing._draw_rotations(source, r, count))
+    assert source.pos == count * r * r
+    assert got[failing] is None
+    for k in range(count):
+        if k != failing:
+            assert got[k].tobytes() == _sample_rotation_per_draw(_ScriptedDraws(blocks[k]), r).tobytes()
+
+
+@pytest.mark.parametrize("column", [0, 1, 3])
+def test_sample_rotation_refuses_a_degenerate_draw(column):
+    r = 4
+    source = _ScriptedDraws(_degenerate_block(r, column, 40 + column))
+    with pytest.raises(ValidationError, match="full-rank"):
+        sample_rotation(source, r)
+    assert source.pos == r * r
 
 
 def test_fold_identity_unchanged():
@@ -413,3 +393,28 @@ def test_selection_dimension_checks():
     x = rng.uniform_matrix(4, 8, -1, 1)
     with pytest.raises(ShapeError):
         select_rotation(a, b, x, QuantConfig(), Prng(0))
+    with pytest.raises(ShapeError, match="calibration"):  # a 1-D x_calib, as compile_layer refuses it
+        select_rotation(a, b[:4], x[0], QuantConfig(), Prng(0))
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_selection_skips_a_degenerate_candidate_and_keeps_indices(failing):
+    """A candidate whose draws are not full rank is never scored or chosen;
+    candidate k is still the rotation of the k-th r*r block, so the ones
+    after it keep their indices."""
+    r, n, config, rng = 8, 3, QuantConfig(), Prng(3002)
+    a, b = _energy_concentrated_factors(rng, 16, r, 16)
+    x = rng.uniform_matrix(10, 16, -5, 5)
+    blocks, values = _blocks_script(r, n, {failing - 1: 3})
+    choice = select_rotation(a, b, x, config, _ScriptedDraws(values), n_candidates=n)
+
+    reference = matmul(matmul(x, a), b)
+    pool = {0: (select_rotation(a, b, x, config, Prng(0), n_candidates=0).loss, np.eye(r, dtype=np.float32))}
+    for idx in range(1, n + 1):
+        if idx != failing:
+            q = sample_rotation(_ScriptedDraws(blocks[idx - 1]), r)
+            pool[idx] = (smoothing._candidate_loss(*fold_rotation(a, b, q), x, reference, config), q)
+    best = min(pool, key=lambda idx: (pool[idx][0], idx))
+    assert best > failing
+    assert choice.candidate_index == best
+    assert choice.loss == pool[best][0] and choice.q.tobytes() == pool[best][1].tobytes()

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -164,8 +165,8 @@ def _ab_repo(tmp_path):
 def test_bench_ab_alternates_parent_and_working_tree_copies(tmp_path):
     """scripts/bench_ab.py copies a commit and the working tree (with its
     untracked files) into sibling directories, alternates the side that runs
-    first from one pair of a workload to the next, and summarizes the
-    records."""
+    first from one pair of a workload to the next, prints each run's
+    1-minute load average on its pair line, and summarizes the records."""
     repo = _ab_repo(tmp_path)
     root, dest = tmp_path / "ab", tmp_path / "BENCH.json"
     argv = ["--repo", str(repo), "--parent", "HEAD", "--root", str(root), "--out", str(dest), "--seconds", "0.5"]
@@ -182,6 +183,10 @@ def test_bench_ab_alternates_parent_and_working_tree_copies(tmp_path):
     for workload in ("serve-long", "compress-exact"):
         assert [side for side, w in runs if w == workload] == ["parent", "change", "change", "parent"]
     assert (root / "change" / "untracked.txt").exists() and not (root / "parent" / "untracked.txt").exists()
+    pair_lines = [line for line in proc.stdout.splitlines() if line.startswith("pair ")]
+    assert len(pair_lines) == 8
+    for line in pair_lines:  # the 1-minute load average taken before the run
+        assert re.fullmatch(r"pair [01] \S+ seed [34] (parent|change): op_ms_p50 [\d.]+ ms, load1 \d+\.\d\d", line), line
     again = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_ab.py"), *argv], capture_output=True, text=True)
     assert again.returncode == 2 and "not empty" in again.stderr
 
