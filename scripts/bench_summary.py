@@ -10,7 +10,8 @@ records (`--trace 0`); traced ones (`--trace 1`, e.g. from `bench_ab.py
 per side, the median of each of TRACED over the traced runs and the patch
 points any of them missed. Per workload the output holds,
 for the parent and for the change, the median and interquartile range of
-each end-to-end metric over the runs, the seeds, the run count, the context
+each end-to-end metric (the `end_to_end` names of the repository's
+BENCHMARK.json) over the runs, the seeds, the run count, the context
 line, each run's `op_ms_p50` and the `pack_sha256` of each seed; and the
 change/parent ratio of the medians, the number of run pairs (the k-th run of
 a seed on one side pairs with the k-th on the other, in path order), how
@@ -28,7 +29,8 @@ import os
 import statistics
 import sys
 
-END_TO_END = ("setup_s", "op_ms_p50", "rel_error", "compression_ratio", "peak_rss_mb")
+with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCHMARK.json"), encoding="utf-8") as f:
+    END_TO_END = tuple(metric["name"] for metric in json.load(f)["end_to_end"])  # the benchmark's own list
 TRACED = ("kernel.forward_quantized_s", "tensors.matmul_s", "bench.flop_ratio", "kernel.time_vs_flop_ratio")
 
 

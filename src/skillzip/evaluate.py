@@ -17,6 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import bench
+from .deltas import extract_delta
 from .errors import ShapeError, ValidationError
 from .kernel import ForwardDiag, forward_full, forward_quantized
 from .lowrank import split_factors, truncated_svd
@@ -77,42 +78,46 @@ class FidelityReport:
         return "\n".join(lines)
 
 
-def _layer_entry(ref: np.ndarray, approx: np.ndarray, shape: tuple[int, int], tokens: int, rank: int, sat: int, seconds: float) -> LayerFidelity:
-    signal = fro_norm(ref)
-    err = fro_norm(ref - approx) / max(signal, SIGNAL_EPS)
-    return LayerFidelity(
-        rel_error=err,
-        signal_norm=signal,
-        flops_dense=bench.flops_dense(tokens, *shape),
-        flops_lowrank=bench.flops_lowrank(tokens, *shape, rank),
-        mid_saturated=sat,
-        forward_seconds=seconds,
-    )
-
-
-def eval_pack(
-    pack: Skillpack,
-    reference_delta: dict[str, np.ndarray],
-    eval_x: dict[str, np.ndarray],
-    method: str = "skillzip",
-) -> FidelityReport:
-    """Score one skillpack against the float oracle on held-out activations."""
-    report = FidelityReport(method=method, compression_ratio=compression_ratio(pack))
-    for name, layer in pack.layers.items():
-        if name not in reference_delta:
+def _check_layers(shapes: dict[str, tuple[int, int]], deltas: dict[str, np.ndarray], eval_x: dict[str, np.ndarray]) -> None:
+    """Refuse a missing reference delta or activation layer, or one not shaped like `shapes`."""
+    for name, shape in shapes.items():
+        if name not in deltas:
             raise ValidationError(f"reference delta missing layer {name!r}")
+        if deltas[name].shape != shape:
+            raise ShapeError(f"layer {name!r}: reference delta is {deltas[name].shape}, not {shape}")
         if name not in eval_x:
             raise ValidationError(f"evaluation activations missing layer {name!r}")
-        x = eval_x[name]
-        ref = matmul(x, reference_delta[name])
+        if eval_x[name].ndim != 2 or eval_x[name].shape[1] != shape[0]:
+            raise ShapeError(f"evaluation activations for layer {name!r} are {eval_x[name].shape}, not T x {shape[0]}")
+
+
+def _score(report: FidelityReport, deltas: dict[str, np.ndarray], eval_x: dict[str, np.ndarray], forwards: dict) -> FidelityReport:
+    """The one per-layer scoring loop. `forwards` maps a layer name to
+    (forward(x, diag), rank); only the forward is timed."""
+    for name, (forward, rank) in forwards.items():
+        x, delta = eval_x[name], deltas[name]
+        ref = matmul(x, delta)
         diag = ForwardDiag()
         start = time.perf_counter()
-        approx = forward_quantized(layer, x, diag=diag)
+        approx = forward(x, diag)
         seconds = time.perf_counter() - start
-        report.per_layer[name] = _layer_entry(
-            ref, approx, (layer.c_in, layer.c_out), x.shape[0], layer.rank, diag.mid_saturated, seconds
+        signal = fro_norm(ref)
+        report.per_layer[name] = LayerFidelity(
+            rel_error=fro_norm(ref - approx) / max(signal, SIGNAL_EPS),
+            signal_norm=signal,
+            flops_dense=bench.flops_dense(x.shape[0], *delta.shape),
+            flops_lowrank=bench.flops_lowrank(x.shape[0], *delta.shape, rank),
+            mid_saturated=diag.mid_saturated,
+            forward_seconds=seconds,
         )
     return report.finalize()
+
+
+def eval_pack(pack: Skillpack, reference_delta: dict[str, np.ndarray], eval_x: dict[str, np.ndarray]) -> FidelityReport:
+    """Score one skillpack against the float oracle on held-out activations."""
+    _check_layers({n: (layer.c_in, layer.c_out) for n, layer in pack.layers.items()}, reference_delta, eval_x)
+    forwards = {n: (partial(forward_quantized, layer), layer.rank) for n, layer in pack.layers.items()}
+    return _score(FidelityReport("skillzip", compression_ratio=compression_ratio(pack)), reference_delta, eval_x, forwards)
 
 
 def total_delta_error(
@@ -129,17 +134,15 @@ def total_delta_error(
     The ground truth is independent of how compression split shared from
     task-specific content, so different toggle settings are comparable.
     """
-    err_sq = 0.0
-    sig_sq = 0.0
+    shared = extract_delta(base, backbone, "backbone").layers
+    err_sq = sig_sq = 0.0
     for task_id, pack in packs.items():
+        delta = extract_delta(base, tuned[task_id], task_id).layers
         for name, layer in pack.layers.items():
             x = eval_x[name]
-            ref = matmul(x, (tuned[task_id][name] - base[name]).astype(np.float32))
-            approx = forward_full((backbone[name] - base[name]).astype(np.float32), layer, x)
-            signal = fro_norm(ref)
-            err = fro_norm(ref - approx)
-            err_sq += err**2
-            sig_sq += signal**2
+            ref = matmul(x, delta[name])
+            err_sq += fro_norm(ref - forward_full(shared[name], layer, x)) ** 2
+            sig_sq += fro_norm(ref) ** 2
     return float(np.sqrt(err_sq / max(sig_sq, SIGNAL_EPS)))
 
 
@@ -159,37 +162,24 @@ def _bitdelta_layer(delta: np.ndarray, config: PipelineConfig) -> tuple[np.ndarr
     return bitdelta_dequantize(signs, scale), min(delta.shape), (delta.size + 7) // 8 + 4
 
 
-def _float_baseline(method, layer_fn, base, tuned_one, calib, eval_x, config) -> FidelityReport:
+def _float_baseline(method, layer_fn, base, tuned_one, calib, deltas, eval_x, config) -> FidelityReport:
     """Score a float approximation of each layer's delta.
 
     `layer_fn(delta, config)` returns (approximate delta, rank, stored bytes);
     the approximation is applied in float, so no layer saturates."""
-    report = FidelityReport(method=method)
-    dense_bytes = 0
-    packed_bytes = 0
-    for name in base:
-        delta = (tuned_one[name] - base[name]).astype(np.float32)
-        approx_delta, rank, stored = layer_fn(delta, config)
-        dense_bytes += 4 * delta.size
-        packed_bytes += stored
-        x = eval_x[name]
-        ref = matmul(x, delta)
-        start = time.perf_counter()
-        approx = matmul(x, approx_delta)
-        seconds = time.perf_counter() - start
-        report.per_layer[name] = _layer_entry(ref, approx, delta.shape, x.shape[0], rank, 0, seconds)
-    report.compression_ratio = dense_bytes / packed_bytes if packed_bytes else 0.0
-    return report.finalize()
+    fits = {name: layer_fn(delta, config) for name, delta in deltas.items()}  # run_baseline refuses zero layers
+    ratio = sum(4 * delta.size for delta in deltas.values()) / sum(stored for _, _, stored in fits.values())
+    forwards = {name: (lambda x, diag, w=w: matmul(x, w), rank) for name, (w, rank, _) in fits.items()}
+    return _score(FidelityReport(method, compression_ratio=ratio), deltas, eval_x, forwards)
 
 
-def _skillzip_baseline(base, tuned_one, calib, eval_x, config) -> FidelityReport:
+def _skillzip_baseline(base, tuned_one, calib, deltas, eval_x, config) -> FidelityReport:
     """The full pipeline on a single task (merging is a no-op for K=1)."""
     result = compress(base, {"baseline": tuned_one}, calib, config)
-    deltas = {n: (tuned_one[n] - base[n]).astype(np.float32) for n in base}
-    return eval_pack(result.packs["baseline"], deltas, eval_x, method="skillzip")
+    return eval_pack(result.packs["baseline"], deltas, eval_x)
 
 
-# Method name -> callable(base, tuned_one, calib, eval_x, config) -> report.
+# Method name -> callable(base, tuned_one, calib, deltas, eval_x, config) -> report.
 # "asvd" is reserved: activation-weighted SVD is a known future method.
 BASELINES = {
     "svd-fp": partial(_float_baseline, "svd-fp", _svd_fp_layer),
@@ -206,11 +196,14 @@ def run_baseline(
     eval_x: dict[str, np.ndarray],
     config: PipelineConfig,
 ) -> FidelityReport:
+    """Score one method on one tuned set; inputs are checked before it runs."""
     if method not in BASELINES:
         raise ValidationError(f"unknown method {method!r}; available: {', '.join(sorted(BASELINES))}")
     if not base:
         raise ValidationError("a baseline needs at least one layer")
-    return BASELINES[method](base, tuned_one, calib, eval_x, config)
+    deltas = extract_delta(base, tuned_one, "baseline").layers
+    _check_layers({n: d.shape for n, d in deltas.items()}, deltas, eval_x)
+    return BASELINES[method](base, tuned_one, calib, deltas, eval_x, config)
 
 
 # ---------------------------------------------------------------------------

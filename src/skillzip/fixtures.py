@@ -68,8 +68,10 @@ def make_suite(
             raise ValidationError(f"suite size {name}={size} gives an empty shape; every size must be >= 1")
     if not (0 <= outlier_channels < c_in):
         raise ValidationError(f"outlier channel count must lie in [0, {c_in}), got {outlier_channels}")
-    if not (np.isfinite(outlier_ratio) and outlier_ratio >= 1.0):
-        raise ValidationError(f"outlier ratio must be finite and >= 1, got {outlier_ratio!r}")
+    with np.errstate(over="ignore"):  # the outlier columns' peak |x|, as outlier_activations scales it
+        peak = np.float32(15.0) * np.float32(outlier_ratio)
+    if not (np.isfinite(peak) and outlier_ratio >= 1.0):
+        raise ValidationError(f"outlier ratio must be finite and >= 1, with 15 * ratio finite in float32, got {outlier_ratio!r}")
     rng = Prng(seed)
     layer_names = [f"layer{i}" for i in range(n_layers)]
     tasks = list(TASK_NAMES[:n_tasks]) + [f"task{i}" for i in range(len(TASK_NAMES), n_tasks)]

@@ -24,7 +24,8 @@ Every partial product and sum of an integer matmul is an integer, so it is
 exact in any order and equals the int32 product while K <= MAX_CONTRACTION.
 K runs in chunks of F32_EXACT_CONTRACTION (K * 128^2 <= 2^24: exact float32
 products) summed in float64. The forward takes every group scale first, then
-codes X and applies the outer scales in row blocks of _BLOCK_BYTES of float64.
+codes X and applies the outer scales in row blocks of _BLOCK_BYTES of float64,
+written back into float32: one path for any group length.
 
 The shared backbone runs in float through the matmul oracle; a layer's
 forward adds the integer-path output on top (or nothing when no skillpack
@@ -131,12 +132,10 @@ def requant_mid(acc1: np.ndarray, mid_scale: float, diag: ForwardDiag | None = N
 def _smoothed_gemm1(
     x_s: np.ndarray, a_hat: QuantGrid, config: QuantConfig, row_blocks: list[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize smoothed activations and run GEMM 1: (acc1, X scales). Past
-    one row block, X's codes overwrite `x_s` (a temporary) block by block."""
+    """Quantize smoothed activations and run GEMM 1: (acc1, X scales). X's codes
+    (integers, exact in float32) overwrite the float32 temporary `x_s` block by block."""
     scales = group_scales(x_s, config.bits_x, config.gran_x, row_blocks)
     step = max(1, _BLOCK_BYTES // (8 * x_s.shape[1] or 1))
-    if len(x_s) <= step:  # one block: its float64 codes go to GEMM 1 as they are
-        return gemm_i8_i32(scaled_codes(x_s, scales, config.bits_x), a_hat.codes), scales
     for i in range(0, len(x_s), step):
         rows = slice(i, i + step)
         x_s[rows] = scaled_codes(x_s[rows], scales[rows] if scales.ndim else scales, config.bits_x)
@@ -167,8 +166,6 @@ def forward_quantized(
         block *= row_scale[i : i + step] if row_scale.ndim else row_scale
         if b_scale.granularity == PER_CHANNEL:
             block *= col_scale
-        if len(acc2) <= step:  # one block: a fresh float32 output, faster on short groups than writing back
-            return block.astype(np.float32)
         acc2[i : i + step] = block
     return acc2.astype(np.float32, copy=False)
 

@@ -32,7 +32,7 @@ from .packio import MAX_TASK_ID_BYTES, Skillpack, manifest_for
 from .prng import Prng
 from .quant import QuantConfig
 from .smoothing import DEFAULT_ALPHA, DEFAULT_CANDIDATES, DEFAULT_EPSILON, MAX_CANDIDATES, apply_smooth, compute_smooth
-from .smoothing import fold_rotation, profile, select_rotation
+from .smoothing import check_smooth_params, fold_rotation, profile, select_rotation
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         self.rank_policy(1)  # the rank mode and value checks
+        check_smooth_params(self.alpha, self.epsilon)  # checked even with smoothing off: they go into provenance
         if not 0 <= self.n_candidates <= MAX_CANDIDATES:
             raise ValidationError(f"n_candidates must lie in 0..{MAX_CANDIDATES}, got {self.n_candidates}")
 

@@ -52,6 +52,14 @@ def profile(calib: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {name: np.abs(x.astype(np.float64)).sum(axis=0) / x.shape[0] for name, x in calib.items()}
 
 
+def check_smooth_params(alpha: float, epsilon: float) -> None:
+    """`compute_smooth`'s rule: alpha in [0, 1], epsilon positive and within float32 range."""
+    if not (0.0 <= alpha <= 1.0):
+        raise ValidationError(f"alpha must lie in [0, 1], got {alpha!r}")
+    if not (0 < epsilon <= float(np.finfo(np.float32).max)):  # the factors are float32
+        raise ValidationError(f"epsilon must be positive and within float32 range, got {epsilon!r}")
+
+
 def compute_smooth(
     mean_abs: np.ndarray, w: np.ndarray, alpha: float = DEFAULT_ALPHA, epsilon: float = DEFAULT_EPSILON
 ) -> np.ndarray:
@@ -61,10 +69,7 @@ def compute_smooth(
     monotone nondecreasing in mean_abs_i for a fixed weight.
     """
     mean_abs = np.asarray(mean_abs, dtype=np.float64).reshape(-1)
-    if not (0.0 <= alpha <= 1.0):
-        raise ValidationError("alpha must lie in [0, 1]")
-    if not (0 < epsilon <= float(np.finfo(np.float32).max)):  # the factors are float32
-        raise ValidationError(f"epsilon must be positive and within float32 range, got {epsilon!r}")
+    check_smooth_params(alpha, epsilon)
     if w.shape[0] != mean_abs.size:
         raise ShapeError(f"weight has {w.shape[0]} input channels, stats have {mean_abs.size}")
     row_peak = np.maximum(np.max(np.abs(w.astype(np.float64)), axis=1), epsilon)
@@ -195,8 +200,8 @@ def select_rotation(
     is not full rank is skipped. Ties break toward the lowest index, so the
     identity wins when nothing improves on it.
     """
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError("factor rank mismatch")
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"factors must be 2-D with A's columns matching B's rows, got {a.shape} x {b.shape}")
     if x_calib.ndim != 2 or x_calib.shape[1] != a.shape[0]:
         raise ShapeError("calibration activations do not match A's input dimension")
     if not 0 <= n_candidates <= MAX_CANDIDATES:

@@ -307,15 +307,60 @@ def test_gen_synth_degenerate_size_exit_code(tmp_path, capsys, flag, value, name
     assert not out.exists()
 
 
-@pytest.mark.parametrize("ratio", ["0.5", "nan", "-3"])
+@pytest.mark.parametrize("ratio", ["0.5", "nan", "-3", "1e38", "1e39"])
 def test_gen_synth_bad_outlier_ratio_exit_code(tmp_path, capsys, ratio):
     """An outlier ratio below 1 or not finite would write fixtures with no
-    outlier channels; it is refused before anything is written."""
+    outlier channels, and one whose product with the 15.0 activation range
+    overflows float32 would write infinities; each is refused before any
+    draw, without a numpy overflow warning, and nothing is written."""
     out = tmp_path / "f"
     argv = ["gen-synth", "--out", str(out), "--channels", "8", "--tokens", "4", "--outliers", "1", "--ratio", ratio]
     assert main(argv) == 2
     assert "outlier ratio must be finite and >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gen_synth_largest_outlier_ratio_stays_finite(tmp_path):
+    """Just below float32's limit over 15 the ratio is accepted and every
+    written activation is finite."""
+    out = tmp_path / "f"
+    argv = ["gen-synth", "--out", str(out), "--channels", "8", "--tokens", "4", "--outliers", "1", "--ratio", "2.2e37"]
+    assert main(argv) == 0
+    calib = dict(read_archive(out / "calib.ftz"))["layer0"]
+    assert np.isfinite(calib).all() and np.abs(calib).max() > 1e37
+
+
+_GOOD_BASELINE = {"base": {"l0": (8, 6), "l1": (8, 6)}, "tuned": {"l0": (8, 6), "l1": (8, 6)},
+                  "calib": {"l0": (4, 8), "l1": (4, 8)}, "activations": {"l0": (4, 8), "l1": (4, 8)}}
+_BASELINE_INPUTS = {  # case -> (expected exit code, the one archive that differs from _GOOD_BASELINE)
+    "well-formed": (0, "tuned", _GOOD_BASELINE["tuned"]),
+    "tuned-missing-layer": (2, "tuned", {"l0": (8, 6)}),
+    "tuned-other-shape": (2, "tuned", {"l0": (8, 6), "l1": (8, 5)}),
+    "tuned-extra-layer": (2, "tuned", {"l0": (8, 6), "l1": (8, 6), "l2": (8, 6)}),
+    "activations-missing-layer": (2, "activations", {"l0": (4, 8)}),
+    "activations-other-width": (2, "activations", {"l0": (4, 8), "l1": (4, 7)}),
+}
+
+
+@pytest.mark.parametrize("method", ["svd-fp", "bitdelta", "skillzip"])
+@pytest.mark.parametrize("case", list(_BASELINE_INPUTS))
+def test_baseline_mismatched_inputs_exit_code(tmp_path, capsys, method, case):
+    """A tuned archive or activations that do not match the base layer for
+    layer are refused alike by every method, before it runs: exit 2 with
+    an error line, never a KeyError or broadcast traceback, and a tuned
+    layer the base lacks is not silently ignored."""
+    code, role, shapes = _BASELINE_INPUTS[case]
+    rng = Prng(8)
+    argv = ["baseline", "--method", method]
+    for name, layers in {**_GOOD_BASELINE, role: shapes}.items():
+        path = tmp_path / f"{name}.ftz"
+        write_archive(path, [(n, rng.uniform_matrix(*shape, -1, 1)) for n, shape in sorted(layers.items())])
+        argv += [f"--{name}", str(path)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error:")
 
 
 def test_bad_config_exit_code(fixture_dir, tmp_path, capsys):
@@ -471,6 +516,22 @@ def tiny_suite(tmp_path_factory):
     return {"root": root, "compress": compress_argv, "bench": bench_argv}
 
 
+@pytest.mark.parametrize("shape", [(16, 12), (12, 16)])
+def test_eval_shape_unlike_pack_exit_code(tiny_suite, tmp_path, capsys, shape):
+    """A backbone and tuned pair whose layer is shaped unlike the pack's
+    16 x 16 layer is refused before any compute: exit 2, not a numpy
+    shape traceback."""
+    rng = Prng(9)
+    for name in ("backbone", "tuned"):
+        write_archive(tmp_path / f"{name}.ftz", [("layer0", rng.uniform_matrix(*shape, -1, 1))])
+    root = tiny_suite["root"]
+    argv = ["eval", "--backbone", str(tmp_path / "backbone.ftz"), "--tuned", str(tmp_path / "tuned.ftz")]
+    argv += ["--pack", str(root / "packs" / "math.skz"), "--activations", str(root / "calib.ftz")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "reference delta" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("repeats", ["0", "-3"])
 def test_bench_repeats_exit_code(tiny_suite, tmp_path, capsys, repeats):
     """Rejected before any dispatch, so no outputs are written either."""
@@ -500,8 +561,10 @@ def test_gen_synth_zero_tokens_exit_code(tmp_path, capsys):
         '{"rank": {"mode": "energy", "value": 1.5}}',
         '{"n_candidates": -1, "toggles": {"rotate": false}}',
         '{"n_candidates": 1000000000}',
+        '{"alpha": 5}',
+        '{"epsilon": -3.0, "toggles": {"smooth": false}}',
     ],
-    ids=["rank-mode", "energy", "negative-candidates", "huge-candidates"],
+    ids=["rank-mode", "energy", "negative-candidates", "huge-candidates", "alpha", "epsilon-smoothing-off"],
 )
 def test_out_of_range_config_exit_code(tiny_suite, tmp_path, capsys, body):
     """Refused when the config is read: exit 2 and no output directory."""

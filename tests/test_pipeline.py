@@ -216,8 +216,13 @@ def test_config_rejects_malformed_fields(text):
         ('{"n_candidates": -1, "toggles": {"rotate": false}}', "n_candidates"),
         ('{"n_candidates": 257}', "n_candidates"),
         ('{"n_candidates": 1000000000}', "n_candidates"),
+        ('{"alpha": 5}', "alpha"),
+        ('{"alpha": -0.1, "toggles": {"smooth": false}}', "alpha"),
+        ('{"epsilon": 0}', "epsilon"),
+        ('{"epsilon": 1e39, "toggles": {"smooth": false}}', "epsilon"),
     ],
-    ids=["rank-mode", "energy", "fixed", "negative-candidates", "candidates-above-cap", "huge-candidates"],
+    ids=["rank-mode", "energy", "fixed", "negative-candidates", "candidates-above-cap", "huge-candidates",
+         "alpha", "alpha-smoothing-off", "epsilon", "epsilon-smoothing-off"],
 )
 def test_config_values_checked_when_parsed(text, match):
     """Out-of-range values are refused by from_json itself, not later in
@@ -225,6 +230,20 @@ def test_config_values_checked_when_parsed(text, match):
     with pytest.raises(ValidationError, match=match):
         PipelineConfig.from_json(text)
     assert PipelineConfig.from_json(f'{{"n_candidates": {MAX_CANDIDATES}}}').n_candidates == MAX_CANDIDATES
+
+
+def test_config_smooth_params_checked_when_built():
+    """alpha and epsilon follow compute_smooth's rule from construction on,
+    also with smoothing off, where compress never calls compute_smooth but
+    still writes both into every pack's provenance."""
+    with pytest.raises(ValidationError, match="alpha"):
+        PipelineConfig(alpha=5.0, epsilon=-3.0)
+    with pytest.raises(ValidationError, match="epsilon"):
+        PipelineConfig(epsilon=-3.0, toggles=Toggles(smooth=False))
+    with pytest.raises(ValidationError, match="alpha"):
+        PipelineConfig(alpha=float("nan"))
+    assert PipelineConfig(alpha=0.0, epsilon=float(np.finfo(np.float32).max)).alpha == 0.0
+    assert PipelineConfig(alpha=1, toggles=Toggles(smooth=False)).alpha == 1
 
 
 def test_config_partial_body_takes_defaults_and_keeps_ints():

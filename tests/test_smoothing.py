@@ -395,6 +395,10 @@ def test_selection_dimension_checks():
         select_rotation(a, b, x, QuantConfig(), Prng(0))
     with pytest.raises(ShapeError, match="calibration"):  # a 1-D x_calib, as compile_layer refuses it
         select_rotation(a, b[:4], x[0], QuantConfig(), Prng(0))
+    with pytest.raises(ShapeError, match="2-D"):  # a 1-D factor, refused before any compute
+        select_rotation(np.ones(8), np.ones((1, 8)), np.ones((2, 8)), QuantConfig(), Prng(0))
+    with pytest.raises(ShapeError, match="2-D"):
+        select_rotation(a, np.ones(4), x, QuantConfig(), Prng(0))
 
 
 @pytest.mark.parametrize("failing", [1, 2])
