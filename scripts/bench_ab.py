@@ -12,10 +12,14 @@ each seed and workload, one untraced run (`perfbench/run.py --trace 0`, from
 the tree's root) of each side makes a pair, and the side that goes first
 alternates from one pair of a workload to the next. Each pair line prints the
 1-minute load average taken just before the run, so a run beside another
-busy process stands out. With --traced, one traced run (`--trace 1`, first
-seed) of each side and workload follows the pairs; its per-layer metrics go
-into --out next to the end-to-end ones. The records are kept under
-DIR/records/<side>/, and scripts/bench_summary.py turns them into --out.
+busy process stands out, and the run's wall and CPU seconds. CPU seconds are
+the RUSAGE_CHILDREN delta around the run, so they count the worker processes
+a run waits for; a speedup bought with more processes shows its cost there.
+Both go into the run's record under "ab_run". With --traced, one traced run
+(`--trace 1`, first seed) of each side and workload follows the pairs; its
+per-layer metrics go into --out next to the end-to-end ones. The records are
+kept under DIR/records/<side>/, and scripts/bench_summary.py turns them into
+--out.
 DIR must be new or empty. Standard library only; needs git on PATH.
 """
 
@@ -25,10 +29,12 @@ import argparse
 import io
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
 import tarfile
+import time
 
 import bench_summary
 
@@ -57,13 +63,24 @@ def copy_worktree(repo: str, dest: str) -> None:
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float, records: str, trace: int) -> str:
-    """One perfbench run of `tree`; moves its record into `records`."""
+    """One perfbench run of `tree`; moves its record into `records`, with
+    the run's wall seconds and CPU seconds (user plus system, of the run and
+    every process it waited for) added under "ab_run"."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", str(trace)]
+    before, start = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
     subprocess.run(cmd, cwd=tree, check=True, stdout=subprocess.DEVNULL)
+    wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     name = f"{workload}-seed{seed}-trace{trace}.json"
     os.makedirs(records, exist_ok=True)
-    return shutil.move(os.path.join(tree, "perfbench", "_out", name), os.path.join(records, name))
+    path = shutil.move(os.path.join(tree, "perfbench", "_out", name), os.path.join(records, name))
+    with open(path, encoding="utf-8") as f:
+        record = json.load(f)
+    record["ab_run"] = {"wall_s": wall, "cpu_s": cpu}
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(record, f)
+    return path
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -93,8 +110,13 @@ def main(argv: list[str] | None = None) -> int:
                 load1 = os.getloadavg()[0]  # a second busy process on the machine shows here
                 path = run_once(trees[side], workload, seed, args.seconds, pair, 0)
                 with open(path, encoding="utf-8") as f:
-                    op_ms = json.load(f)["result"]["metrics"]["op_ms_p50"]["value"]
-                print(f"pair {k} {workload} seed {seed} {side}: op_ms_p50 {op_ms:.3f} ms, load1 {load1:.2f}", flush=True)
+                    record = json.load(f)
+                op_ms, run = record["result"]["metrics"]["op_ms_p50"]["value"], record["ab_run"]
+                print(
+                    f"pair {k} {workload} seed {seed} {side}: op_ms_p50 {op_ms:.3f} ms, load1 {load1:.2f}, "
+                    f"wall {run['wall_s']:.2f} s, cpu {run['cpu_s']:.2f} s",
+                    flush=True,
+                )
     for workload in args.workload if args.traced else ():
         for side in ("parent", "change"):
             run_once(trees[side], workload, args.seeds[0], args.seconds, os.path.join(records, side, "traced"), 1)

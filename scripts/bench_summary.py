@@ -18,7 +18,11 @@ a seed on one side pairs with the k-th on the other, in path order), how
 many of them the change won on `op_ms_p50`, and the median and interquartile
 range of the per-pair ratios change_k / parent_k of `op_ms_p50`. Outside load
 drifts over minutes and moves both medians, but it moves both runs of a pair
-alike, so the paired ratio cancels most of it. Standard library only.
+alike, so the paired ratio cancels most of it. Records that
+`scripts/bench_ab.py` wrote also carry each run's wall and CPU seconds
+("ab_run"); per side the output holds their median and interquartile range,
+and the paired ratio of CPU seconds, which shows what a speedup costs in CPU.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -80,6 +84,7 @@ def side_summary(records: list[dict]) -> dict:
         sha = r["context"].get("pack_sha256")
         if sha is not None:
             shas.setdefault(str(r["context"]["seed"]), set()).add(sha)
+    ab = [r for r in records if "ab_run" in r]
     return {
         "runs": len(records),
         "seeds": sorted({r["context"]["seed"] for r in records}),
@@ -88,6 +93,8 @@ def side_summary(records: list[dict]) -> dict:
         "context": context_line(records[0]["context"]),
         "metrics": metrics,
         "op_ms_p50_runs": [[r["context"]["seed"], r["result"]["metrics"]["op_ms_p50"]["value"]] for r in records],
+        "cpu_s_runs": [[r["context"]["seed"], r["ab_run"]["cpu_s"]] for r in ab],
+        "ab_run": {key: spread([r["ab_run"][key] for r in ab]) for key in ("wall_s", "cpu_s")} if ab else None,
         "pack_sha256": {seed: sorted(s) for seed, s in sorted(shas.items())},
     }
 
@@ -103,6 +110,16 @@ def traced_summary(records: list[dict]) -> dict:
     return out
 
 
+def paired_ratios(sides: dict, runs: str) -> list[float]:
+    """change_k / parent_k of one per-run value ([seed, value] lists under
+    `runs`): the k-th run of a seed on each side is one pair."""
+    ratios = []
+    for seed in set(sides["parent"]["seeds"]) & set(sides["change"]["seeds"]):
+        before, after = ([v for s, v in sides[label][runs] if s == seed] for label in ("parent", "change"))
+        ratios += [a / b for b, a in zip(before, after)]
+    return ratios
+
+
 def summarize(parent_all: list[dict], change_all: list[dict]) -> dict:
     parent, change = ([r for r in records if not is_traced(r)] for records in (parent_all, change_all))
     workloads = sorted({r["context"]["workload"] for r in parent} & {r["context"]["workload"] for r in change})
@@ -114,10 +131,7 @@ def summarize(parent_all: list[dict], change_all: list[dict]) -> dict:
             sides[label] = side_summary([r for r in mine if not is_traced(r)])
             if any(is_traced(r) for r in mine):
                 traced[label] = traced_summary([r for r in mine if is_traced(r)])
-        paired = []  # change_k / parent_k of op_ms_p50: the k-th run of a seed on each side is one pair
-        for seed in set(sides["parent"]["seeds"]) & set(sides["change"]["seeds"]):
-            before, after = ([v for s, v in sides[label]["op_ms_p50_runs"] if s == seed] for label in ("parent", "change"))
-            paired += [a / b for b, a in zip(before, after)]
+        paired, paired_cpu = (paired_ratios(sides, key) for key in ("op_ms_p50_runs", "cpu_s_runs"))
         ratio = {
             name: sides["change"]["metrics"][name]["median"] / sides["parent"]["metrics"][name]["median"]
             for name in sides["parent"]["metrics"]
@@ -127,6 +141,7 @@ def summarize(parent_all: list[dict], change_all: list[dict]) -> dict:
             "pairs": len(paired),
             "pairs_change_faster": sum(r < 1.0 for r in paired),
             "paired_op_ms_p50_ratio": spread(paired) if paired else None,
+            "paired_cpu_s_ratio": spread(paired_cpu) if paired_cpu else None,
             **sides,
             "change_over_parent_median": ratio,
             "pack_sha256_equal": sides["parent"]["pack_sha256"] == sides["change"]["pack_sha256"],
@@ -153,11 +168,12 @@ def main(argv: list[str] | None = None) -> int:
     for workload, entry in summary.items():
         ratio = entry["change_over_parent_median"].get("op_ms_p50")
         shown = f"{ratio:.3f}x" if ratio is not None else "n/a"
-        paired = entry["paired_op_ms_p50_ratio"]
-        paired_shown = f"{paired['median']:.3f}x (IQR {paired['iqr']:.3f})" if paired else "n/a"
+        paired, cpu = (entry[key] for key in ("paired_op_ms_p50_ratio", "paired_cpu_s_ratio"))
+        paired_shown, cpu_shown = (f"{p['median']:.3f}x (IQR {p['iqr']:.3f})" if p else "n/a" for p in (paired, cpu))
         print(
             f"{workload}: change faster in {entry['pairs_change_faster']} of {entry['pairs']} pairs, "
-            f"op_ms_p50 {shown}, paired {paired_shown}, pack_sha256 equal {entry['pack_sha256_equal']}"
+            f"op_ms_p50 {shown}, paired {paired_shown}, paired cpu_s {cpu_shown}, "
+            f"pack_sha256 equal {entry['pack_sha256_equal']}"
         )
         for label, traced in entry.get("traced", {}).items():
             shown = ", ".join(f"{name} {traced[name]:.6g}" for name in TRACED if name in traced)

@@ -134,10 +134,16 @@ def total_delta_error(
     The ground truth is independent of how compression split shared from
     task-specific content, so different toggle settings are comparable.
     """
+    missing = sorted(set(packs) - set(tuned))
+    if missing:
+        raise ValidationError(f"tuned weights missing for task(s) {missing}")
     shared = extract_delta(base, backbone, "backbone").layers
+    deltas = {task_id: extract_delta(base, tuned[task_id], task_id).layers for task_id in packs}
+    for task_id, pack in packs.items():
+        _check_layers({n: (layer.c_in, layer.c_out) for n, layer in pack.layers.items()}, deltas[task_id], eval_x)
     err_sq = sig_sq = 0.0
     for task_id, pack in packs.items():
-        delta = extract_delta(base, tuned[task_id], task_id).layers
+        delta = deltas[task_id]
         for name, layer in pack.layers.items():
             x = eval_x[name]
             ref = matmul(x, delta[name])

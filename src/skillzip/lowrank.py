@@ -274,6 +274,13 @@ def _sketched_svd(w: np.ndarray, r: int):
     return u, sigma, vt
 
 
+def exact_path(shape: tuple[int, ...], policy: RankPolicy) -> bool:
+    """Whether `truncated_svd` decomposes a matrix of this shape under this
+    policy with the exact Jacobi SVD rather than the sketched one."""
+    min_dim = min(shape)
+    return policy.mode != "fixed" or min_dim < _SKETCH_MIN_DIM or int(policy.value) > min_dim // 4
+
+
 def truncated_svd(w: np.ndarray, policy: RankPolicy) -> SvdResult:
     """Top-R triplets of `w` under the given rank policy.
 
@@ -282,18 +289,17 @@ def truncated_svd(w: np.ndarray, policy: RankPolicy) -> SvdResult:
     policies that need the full spectrum) uses the exact Jacobi reference.
     """
     min_dim = min(w.shape)
+    if policy.mode == "fixed" and int(policy.value) > min_dim:
+        raise ValidationError(f"rank {int(policy.value)} exceeds min dimension {min_dim}")
+    if exact_path(w.shape, policy):
+        u, sigma, vt = jacobi_svd_full(w)
+    else:
+        if not np.isfinite(w).all():
+            raise ValidationError("decomposition input contains non-finite values")
+        u, sigma, vt = _sketched_svd(w, int(policy.value))
     if policy.mode == "fixed":
         r = int(policy.value)
-        if r > min_dim:
-            raise ValidationError(f"rank {r} exceeds min dimension {min_dim}")
-        if min_dim >= _SKETCH_MIN_DIM and r <= min_dim // 4:
-            if not np.isfinite(w).all():
-                raise ValidationError("decomposition input contains non-finite values")
-            u, sigma, vt = _sketched_svd(w, r)
-        else:
-            u, sigma, vt = jacobi_svd_full(w)
     else:
-        u, sigma, vt = jacobi_svd_full(w)
         total = float(np.sum(sigma**2))
         if total == 0.0:
             r = 1

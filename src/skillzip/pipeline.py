@@ -1,14 +1,25 @@
 """End-to-end compression: deltas in, backbone plus skillpacks out.
 
-The config is checked when it is built, and the task ids and calibration
-inputs before any compute. Per task and per layer the stages are:
-channel-wise smoothing of the delta by its layer's calibration `profile`,
-truncated SVD with the square-root energy split, rotation selection over
-seeded orthogonal candidates, quantization of both factors (optionally
-with GPTQ refinement of the output factor), and mid-scale calibration.
-Before any of that, the shared component across tasks is merged into the
-backbone and subtracted from each delta. Every stage can be toggled off
-independently, which is what the ablation harness exercises.
+The config is checked when it is built, and the task ids, the finiteness
+of every input array and the calibration shapes before any compute. Per
+task and per layer the stages are: channel-wise smoothing of the delta by
+its layer's calibration `profile`, truncated SVD with the square-root
+energy split, rotation selection over seeded orthogonal candidates,
+quantization of both factors (optionally with GPTQ refinement of the
+output factor), and mid-scale calibration. Before any of that, the shared
+component across tasks is merged into the backbone and subtracted from
+each delta. Every stage can be toggled off independently, which is what
+the ablation harness exercises.
+
+Every layer is smoothed first, then every layer decomposed, then the rest
+runs layer by layer. The decompositions that take the exact Jacobi path
+(`lowrank.exact_path`) run in a fork pool of min(jobs, usable CPUs)
+workers when that pays: two or more such jobs, two or more CPUs in
+`os.sched_getaffinity`, the fork start method, and summed estimated work
+of at least `_POOL_MIN_SECONDS`. Sketched decompositions stay in this
+process; their range finder already runs multithreaded BLAS, and worker
+processes beside it would oversubscribe the CPUs. The pool closes before
+`compress` returns, and the results are the same bits either way.
 
 All randomness flows from one master seed through labeled child streams
 (`task/layer` labels), so runs are reproducible and independent of task
@@ -18,7 +29,11 @@ processing order.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -27,7 +42,7 @@ from .archive import check_name
 from .deltas import MergePlan, TaskDelta, apply_delta, extract_delta, merge_shared, recenter
 from .errors import ShapeError, SkillzipError, ValidationError
 from .kernel import compile_layer
-from .lowrank import RankPolicy, split_factors, truncated_svd
+from .lowrank import RankPolicy, SvdResult, exact_path, split_factors, truncated_svd
 from .packio import MAX_TASK_ID_BYTES, Skillpack, manifest_for
 from .prng import Prng
 from .quant import QuantConfig
@@ -139,27 +154,10 @@ class CompressionResult:
     packs: dict[str, Skillpack]
 
 
-def compress_layer_delta(
-    name: str,
-    delta: np.ndarray,
-    x_calib: np.ndarray,
-    mean_abs: np.ndarray,
-    config: PipelineConfig,
-    rng: Prng,
-):
-    """One layer through smooth -> SVD -> rotate -> quantize; returns the
+def _finish_layer(name: str, s, x_s, x_calib, svd: SvdResult, config: PipelineConfig, rng: Prng):
+    """One decomposed layer through split -> rotate -> quantize; returns the
     compiled layer."""
-    c_in, c_out = delta.shape
-    if config.toggles.smooth:
-        s = compute_smooth(mean_abs, delta, config.alpha, config.epsilon)
-    else:
-        s = np.ones(c_in, dtype=np.float32)
-    x_s, w_s = apply_smooth(x_calib, delta, s)
-
-    policy = config.rank_policy(min(c_in, c_out))
-    svd = truncated_svd(w_s, policy)
     a, b = split_factors(svd)
-
     rotation_index = 0
     if config.toggles.rotate and a.shape[1] > 1:
         held = x_s[: max(1, x_s.shape[0] // 2)]  # held slice for selection
@@ -167,8 +165,7 @@ def compress_layer_delta(
         rotation_index = choice.candidate_index
         if rotation_index != 0:
             a, b = fold_rotation(a, b, choice.q)
-
-    layer = compile_layer(
+    return compile_layer(
         name,
         s,
         a,
@@ -178,7 +175,67 @@ def compress_layer_delta(
         use_gptq=config.toggles.gptq,
         rotation_index=rotation_index,
     )
-    return layer
+
+
+@contextmanager
+def _blame(task_id: str, layer_name: str):
+    """Prefix a package error raised inside with the task and layer it concerns."""
+    try:
+        yield
+    except SkillzipError as exc:
+        raise type(exc)(f"task {task_id!r} layer {layer_name!r}: {exc}") from exc
+
+
+# Rough serial time of one exact decomposition: ~8 sweeps of min(m, n) - 1
+# round-robin rounds, each ~60 us of numpy call overhead plus ~11 ns per
+# element of its min(m, n) / 2 row pairs of length m + n (fitted from 16^2
+# to 192 x 128 on a 2-vCPU x86-64 VM; within 25%, mostly below). Starting
+# and stopping a fork pool of two costs 13-17 ms there, so below
+# _POOL_MIN_SECONDS of summed work a second process saves little or nothing.
+_POOL_MIN_SECONDS = 0.05
+
+
+def _jacobi_seconds(shape: tuple[int, int]) -> float:
+    n, m = min(shape), max(shape)
+    return 8 * (n - 1) * (60e-6 + 11e-9 * n * (m + n) / 2)
+
+
+def _pool_workers(shapes: list[tuple[int, int]]) -> int:
+    """Processes for one compress()'s exact-path decompositions of these
+    shapes; 0 runs them in-process. A pool needs two or more of them, two or
+    more usable CPUs, the fork start method, a process allowed to start
+    children and enough summed work."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if len(shapes) < 2 or cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return 0
+    if multiprocessing.current_process().daemon or sum(map(_jacobi_seconds, shapes)) < _POOL_MIN_SECONDS:
+        return 0
+    return min(len(shapes), cpus)
+
+
+def _decompose(job: tuple[np.ndarray, RankPolicy]) -> SvdResult:
+    """Pool worker entry. It calls this module's `truncated_svd` by name, so
+    a patched attribute (a tracer's wrapper, a test's spy) is what runs in
+    the forked worker, and it is never pickled."""
+    return truncated_svd(*job)
+
+
+def _decompose_all(keys: list[tuple[str, str]], jobs: list[tuple[np.ndarray, RankPolicy]]) -> list[SvdResult]:
+    """`truncated_svd` of every (w, policy) job, in job order. Exact-path
+    jobs run in a fork pool when `_pool_workers` allows one; sketched ones
+    stay in this process, whose BLAS threads already use the CPUs. The first
+    failing job in order raises, prefixed with its (task, layer) key. Fork,
+    not spawn: two spawned workers import numpy and skillzip afresh, ~0.4 s,
+    about what the pool saves on a 2-CPU machine."""
+    exact = [exact_path(w.shape, policy) for w, policy in jobs]
+    workers = _pool_workers([w.shape for (w, _), e in zip(jobs, exact) if e])
+    out = []
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) if workers else nullcontext() as pool:
+        pooled = pool.map(_decompose, [job for job, e in zip(jobs, exact) if e]) if workers else None
+        for key, job, e in zip(keys, jobs, exact):
+            with _blame(*key):
+                out.append(next(pooled) if workers and e else truncated_svd(*job))
+    return out
 
 
 def compress(
@@ -195,14 +252,21 @@ def compress(
     """
     if not tuned:
         raise ValidationError("no tuned weight sets given")
-    for task_id in tuned:
+    for task_id, weights in tuned.items():
         check_name(task_id, MAX_TASK_ID_BYTES, "task id")
+        for layer_name, w in weights.items():
+            if not np.isfinite(w).all():
+                raise ValidationError(f"task {task_id!r} layer {layer_name!r}: weights hold non-finite values")
     for layer_name, w in base.items():
+        if not np.isfinite(w).all():
+            raise ValidationError(f"base layer {layer_name!r} holds non-finite values")
         if layer_name not in calib:
             raise ValidationError(f"calibration activations missing for layer {layer_name!r}")
         x = calib[layer_name]
         if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != w.shape[0]:
             raise ShapeError(f"calibration activations for layer {layer_name!r} are {x.shape}, not T x {w.shape[0]}, T >= 1")
+        if not np.isfinite(x).all():
+            raise ValidationError(f"calibration activations for layer {layer_name!r} hold non-finite values")
 
     deltas = [extract_delta(base, weights, task_id) for task_id, weights in tuned.items()]
 
@@ -218,22 +282,29 @@ def compress(
     mean_abs = profile({name: calib[name] for name in base})
     master = Prng(config.seed)
 
+    residual_layers = {residual.task_id: residual.layers for residual in residuals}
+    keys = [(task_id, name) for task_id, layers in residual_layers.items() for name in sorted(layers)]
+    smoothed, jobs = [], []
+    for task_id, name in keys:
+        delta = residual_layers[task_id][name]
+        with _blame(task_id, name):
+            if config.toggles.smooth:
+                s = compute_smooth(mean_abs[name], delta, config.alpha, config.epsilon)
+            else:
+                s = np.ones(delta.shape[0], dtype=np.float32)
+            x_s, w_s = apply_smooth(calib[name], delta, s)
+            smoothed.append((s, x_s))
+            jobs.append((w_s, config.rank_policy(min(w_s.shape))))
+    svds = _decompose_all(keys, jobs)
+
+    layers: dict[str, dict] = {task_id: {} for task_id in residual_layers}
+    for (task_id, name), (s, x_s), svd in zip(keys, smoothed, svds):
+        with _blame(task_id, name):
+            rng = master.spawn(f"{task_id}/{name}")
+            layers[task_id][name] = _finish_layer(name, s, x_s, calib[name], svd, config, rng)
     packs: dict[str, Skillpack] = {}
-    for residual in residuals:
-        layers = {}
-        for layer_name in sorted(residual.layers):
-            try:
-                layers[layer_name] = compress_layer_delta(
-                    layer_name,
-                    residual.layers[layer_name],
-                    calib[layer_name],
-                    mean_abs[layer_name],
-                    config,
-                    master.spawn(f"{residual.task_id}/{layer_name}"),
-                )
-            except SkillzipError as exc:
-                raise type(exc)(f"task {residual.task_id!r} layer {layer_name!r}: {exc}") from exc
-        pack = Skillpack(task_id=residual.task_id, layers=layers)
+    for task_id, task_layers in layers.items():
+        pack = Skillpack(task_id=task_id, layers=task_layers)
         pack.manifest = manifest_for(pack, provenance=_canonical_body(config))
-        packs[residual.task_id] = pack
+        packs[task_id] = pack
     return CompressionResult(backbone=backbone, shared=shared, packs=packs)

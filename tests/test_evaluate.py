@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from skillzip import ShapeError, ValidationError
-from skillzip.evaluate import BASELINES, delta_similarity, run_baseline
+from skillzip import evaluate
+from skillzip.evaluate import BASELINES, delta_similarity, run_baseline, total_delta_error
 from skillzip.fixtures import make_suite
-from skillzip.pipeline import PipelineConfig
+from skillzip.pipeline import PipelineConfig, compress
 from skillzip.prng import Prng
 
 
@@ -136,3 +137,21 @@ def test_similarity_layer_shape_mismatch():
         delta_similarity({"a": np.ones((2, 3))}, {"a": np.ones((3, 2))})
     with pytest.raises(ShapeError):
         delta_similarity({"a": np.ones((1, 2)), "b": np.ones((1, 4))}, {"a": np.ones((1, 4)), "b": np.ones((1, 2))})
+
+
+def test_total_delta_error_refuses_missing_layer_or_task_before_compute(monkeypatch):
+    """An activation set without a pack's layer, or tuned weights without a
+    pack's task, is refused with ValidationError before any product."""
+    suite = make_suite(
+        2, n_tasks=2, n_layers=1, c_in=16, c_out=12, calib_tokens=8, eval_tokens=8,
+        shared_rank=2, task_rank=2, outlier_channels=1,
+    )
+    result = compress(suite.base, suite.tuned, suite.calib, PipelineConfig(rank_mode="fixed", rank_value=2, n_candidates=1))
+    calls = []
+    monkeypatch.setattr(evaluate, "matmul", lambda *a: calls.append(a))
+    with pytest.raises(ValidationError, match="evaluation activations missing layer 'layer0'"):
+        total_delta_error(suite.base, result.backbone, result.packs, suite.tuned, {})
+    tuned = {"math": suite.tuned["math"]}
+    with pytest.raises(ValidationError, match=r"tuned weights missing for task\(s\) \['code'\]"):
+        total_delta_error(suite.base, result.backbone, result.packs, tuned, suite.eval_x)
+    assert calls == []

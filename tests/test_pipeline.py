@@ -1,4 +1,8 @@
+import hashlib
 import json
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -138,6 +142,122 @@ def test_bad_calibration_matrix_rejected_before_any_compute(monkeypatch, shape, 
     with pytest.raises(ShapeError, match=f"calibration activations for layer 'layer1' are {match}"):
         compress(suite.base, suite.tuned, calib, _fast_config())
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "where,match",
+    [("base", "base layer 'layer1' holds"), ("tuned", "task {second!r} layer 'layer1': weights hold"),
+     ("calib", "calibration activations for layer 'layer1' hold")],
+    ids=["base", "tuned", "calib"],
+)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_inputs_rejected_before_any_compute(monkeypatch, where, match, value):
+    """A NaN or inf in the base, in the second task's weights or in the
+    calibration activations is refused, naming where it is, before any delta
+    is taken."""
+    import skillzip.pipeline
+
+    calls = []
+    monkeypatch.setattr(skillzip.pipeline, "extract_delta", lambda *a: calls.append(a))
+    suite = _small_suite()
+    base, calib = dict(suite.base), dict(suite.calib)
+    tuned = {task: dict(weights) for task, weights in suite.tuned.items()}
+    second = list(tuned)[1]
+    target = {"base": base, "tuned": tuned[second], "calib": calib}[where]
+    target["layer1"] = target["layer1"].copy()
+    target["layer1"][1, 2] = value
+    with pytest.raises(ValidationError, match=f"^{match.format(second=second)} non-finite values$"):
+        compress(base, tuned, calib, _fast_config())
+    assert calls == []
+
+
+# Four exact-path layers (auto rank 8 on 96 x 64) whose summed Jacobi work
+# is above the pool's crossover; the digests are the in-process packs'.
+POOL_SUITE = dict(n_tasks=2, n_layers=2, c_in=96, c_out=64, calib_tokens=24, eval_tokens=8)
+POOL_DIGESTS = {
+    "code": "7e31884750984f762d0f1509d7bcb0a72b7a6aa0d05ca452a038f1850c9b1279",
+    "math": "525498798bc5affd1b331c3a75db6b6049752ed1cb6f69429e4c7a5d002e6992",
+}
+
+
+def _spy_svd(monkeypatch, log, fail=None):
+    """Patch pipeline.truncated_svd, which forked workers inherit, to log
+    the pid that runs each call, or to raise from `fail(w)` when it gives
+    a message."""
+    import skillzip.lowrank
+    import skillzip.pipeline
+
+    def spy(w, policy):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()}\n")
+        message = fail(w) if fail else None
+        if message:
+            raise ValidationError(message)
+        return skillzip.lowrank.truncated_svd(w, policy)
+
+    monkeypatch.setattr(skillzip.pipeline, "truncated_svd", spy)
+
+
+def _pids(log):
+    return [int(line) for line in log.read_text().split()]
+
+
+def _pool_suite_digests():
+    suite = make_suite(13, **POOL_SUITE)
+    result = compress(suite.base, suite.tuned, suite.calib, PipelineConfig(seed=4, n_candidates=3))
+    return {t: hashlib.sha256(serialize_skillpack(p)).hexdigest() for t, p in result.packs.items()}
+
+
+def test_pool_packs_match_in_process_bytes(monkeypatch, tmp_path):
+    """With two usable CPUs the four exact-path decompositions run in
+    worker processes; with one they run here. The packs are the same bytes."""
+    for cpus, in_workers in (({0}, False), ({0, 1}, True)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        log = tmp_path / f"pids{len(cpus)}"
+        _spy_svd(monkeypatch, log)
+        assert _pool_suite_digests() == POOL_DIGESTS
+        pids = _pids(log)
+        assert len(pids) == 4 and all((pid != os.getpid()) == in_workers for pid in pids)
+        assert multiprocessing.active_children() == []
+
+
+def test_compress_in_a_daemonic_process_stays_in_process(monkeypatch):
+    """A daemonic process may not start children, so compress() there runs
+    every decomposition itself, to the same bytes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with multiprocessing.get_context("fork").Pool(1) as outer:
+        assert outer.apply_async(_pool_suite_digests).get(timeout=120) == POOL_DIGESTS
+
+
+def test_worker_error_keeps_class_prefix_and_order(monkeypatch, tmp_path):
+    """A ValidationError raised in a worker surfaces as in-process: same
+    class, same task/layer prefix, and the first failing job in order wins
+    even when later ones fail sooner. No worker outlives compress()."""
+    suite = make_suite(13, **POOL_SUITE)
+    config = PipelineConfig(seed=4, n_candidates=3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    jobs = []  # each smoothed matrix's bytes, in job order: (task, layer) order
+    _spy_svd(monkeypatch, tmp_path / "probe", lambda w: jobs.append(w.tobytes()))
+    compress(suite.base, suite.tuned, suite.calib, config)
+    assert len(set(jobs)) == 4
+
+    def fail(w):  # job 0 succeeds, job 1 fails late, jobs 2 and 3 fail at once
+        job = jobs.index(w.tobytes())
+        if job == 1:
+            time.sleep(0.3)
+        return f"job {job} failed" if job else None
+
+    messages = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        log = tmp_path / f"pids{len(cpus)}"
+        _spy_svd(monkeypatch, log, fail)
+        with pytest.raises(ValidationError) as info:
+            compress(suite.base, suite.tuned, suite.calib, config)
+        messages.append(str(info.value))
+        assert multiprocessing.active_children() == []
+    assert messages == [f"task {list(suite.tuned)[0]!r} layer 'layer1': job 1 failed"] * 2
+    assert all(pid != os.getpid() for pid in _pids(log))
 
 
 def test_eval_pack_reports_reasonable_error():
