@@ -12,14 +12,17 @@ each seed and workload, one untraced run (`perfbench/run.py --trace 0`, from
 the tree's root) of each side makes a pair, and the side that goes first
 alternates from one pair of a workload to the next. Each pair line prints the
 1-minute load average taken just before the run, so a run beside another
-busy process stands out, and the run's wall and CPU seconds. CPU seconds are
-the RUSAGE_CHILDREN delta around the run, so they count the worker processes
-a run waits for; a speedup bought with more processes shows its cost there.
-Both go into the run's record under "ab_run". With --traced, one traced run
-(`--trace 1`, first seed) of each side and workload follows the pairs; its
-per-layer metrics go into --out next to the end-to-end ones. The records are
-kept under DIR/records/<side>/, and scripts/bench_summary.py turns them into
---out.
+busy process stands out, and the run's wall and CPU seconds and peak memory.
+CPU seconds and peak memory come from the run's `os.wait4` usage, which
+covers every process the run waited for: CPU seconds are summed over them,
+so a speedup bought with more processes shows its cost there; the peak
+(`max_rss_mb`) is the largest resident set of any one of them, not their
+sum, so worker processes beside the run's own show only when one of them
+outgrows it. All three go into the run's record under "ab_run". With
+--traced, one traced run (`--trace 1`, first seed) of each side and workload
+follows the pairs; its per-layer metrics go into --out next to the
+end-to-end ones. The records are kept under DIR/records/<side>/, and
+scripts/bench_summary.py turns them into --out.
 DIR must be new or empty. Standard library only; needs git on PATH.
 """
 
@@ -29,7 +32,6 @@ import argparse
 import io
 import json
 import os
-import resource
 import shutil
 import subprocess
 import sys
@@ -64,20 +66,23 @@ def copy_worktree(repo: str, dest: str) -> None:
 
 def run_once(tree: str, workload: str, seed: int, seconds: float, records: str, trace: int) -> str:
     """One perfbench run of `tree`; moves its record into `records`, with
-    the run's wall seconds and CPU seconds (user plus system, of the run and
-    every process it waited for) added under "ab_run"."""
+    the run's wall seconds, CPU seconds (user plus system, of the run and
+    every process it waited for) and largest resident set of any of those
+    processes added under "ab_run"."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", str(trace)]
-    before, start = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
-    subprocess.run(cmd, cwd=tree, check=True, stdout=subprocess.DEVNULL)
-    wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_CHILDREN)
-    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    start = time.perf_counter()
+    proc = subprocess.Popen(cmd, cwd=tree, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall, proc.returncode = time.perf_counter() - start, os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, cmd)
     name = f"{workload}-seed{seed}-trace{trace}.json"
     os.makedirs(records, exist_ok=True)
     path = shutil.move(os.path.join(tree, "perfbench", "_out", name), os.path.join(records, name))
     with open(path, encoding="utf-8") as f:
         record = json.load(f)
-    record["ab_run"] = {"wall_s": wall, "cpu_s": cpu}
+    record["ab_run"] = {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime, "max_rss_mb": usage.ru_maxrss / 1024.0}
     with open(path, "w", encoding="utf-8") as f:
         json.dump(record, f)
     return path
@@ -114,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
                 op_ms, run = record["result"]["metrics"]["op_ms_p50"]["value"], record["ab_run"]
                 print(
                     f"pair {k} {workload} seed {seed} {side}: op_ms_p50 {op_ms:.3f} ms, load1 {load1:.2f}, "
-                    f"wall {run['wall_s']:.2f} s, cpu {run['cpu_s']:.2f} s",
+                    f"wall {run['wall_s']:.2f} s, cpu {run['cpu_s']:.2f} s, max rss {run['max_rss_mb']:.1f} MB",
                     flush=True,
                 )
     for workload in args.workload if args.traced else ():

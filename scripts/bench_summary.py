@@ -19,9 +19,10 @@ many of them the change won on `op_ms_p50`, and the median and interquartile
 range of the per-pair ratios change_k / parent_k of `op_ms_p50`. Outside load
 drifts over minutes and moves both medians, but it moves both runs of a pair
 alike, so the paired ratio cancels most of it. Records that
-`scripts/bench_ab.py` wrote also carry each run's wall and CPU seconds
-("ab_run"); per side the output holds their median and interquartile range,
-and the paired ratio of CPU seconds, which shows what a speedup costs in CPU.
+`scripts/bench_ab.py` wrote also carry each run's wall and CPU seconds and
+the largest resident set of its processes ("ab_run"); per side the output
+holds their median and interquartile range, and the paired ratio of CPU
+seconds, which shows what a speedup costs in CPU.
 Standard library only.
 """
 
@@ -35,6 +36,7 @@ import sys
 
 with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCHMARK.json"), encoding="utf-8") as f:
     END_TO_END = tuple(metric["name"] for metric in json.load(f)["end_to_end"])  # the benchmark's own list
+AB_RUN = ("wall_s", "cpu_s", "max_rss_mb")  # what bench_ab.py adds to each record
 TRACED = ("kernel.forward_quantized_s", "tensors.matmul_s", "bench.flop_ratio", "kernel.time_vs_flop_ratio")
 
 
@@ -94,7 +96,7 @@ def side_summary(records: list[dict]) -> dict:
         "metrics": metrics,
         "op_ms_p50_runs": [[r["context"]["seed"], r["result"]["metrics"]["op_ms_p50"]["value"]] for r in records],
         "cpu_s_runs": [[r["context"]["seed"], r["ab_run"]["cpu_s"]] for r in ab],
-        "ab_run": {key: spread([r["ab_run"][key] for r in ab]) for key in ("wall_s", "cpu_s")} if ab else None,
+        "ab_run": {key: spread([r["ab_run"][key] for r in ab]) for key in AB_RUN} if ab else None,
         "pack_sha256": {seed: sorted(s) for seed, s in sorted(shas.items())},
     }
 

@@ -14,12 +14,13 @@ the ablation harness exercises.
 Every layer is smoothed first, then every layer decomposed, then the rest
 runs layer by layer. The decompositions that take the exact Jacobi path
 (`lowrank.exact_path`) run in a fork pool of min(jobs, usable CPUs)
-workers when that pays: two or more such jobs, two or more CPUs in
-`os.sched_getaffinity`, the fork start method, and summed estimated work
-of at least `_POOL_MIN_SECONDS`. Sketched decompositions stay in this
-process; their range finder already runs multithreaded BLAS, and worker
-processes beside it would oversubscribe the CPUs. The pool closes before
-`compress` returns, and the results are the same bits either way.
+workers when there are two or more such jobs, two or more CPUs in
+`os.sched_getaffinity`, the fork start method and a process allowed to
+start children. Sketched decompositions stay in this process and run
+before the pool opens; their range finder already runs multithreaded
+BLAS, and worker processes beside it would oversubscribe the CPUs. The
+pool closes before `compress` returns, and the results are the same bits
+either way.
 
 All randomness flows from one master seed through labeled child streams
 (`task/layer` labels), so runs are reproducible and independent of task
@@ -29,11 +30,9 @@ processing order.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -186,55 +185,59 @@ def _blame(task_id: str, layer_name: str):
         raise type(exc)(f"task {task_id!r} layer {layer_name!r}: {exc}") from exc
 
 
-# Rough serial time of one exact decomposition: ~8 sweeps of min(m, n) - 1
-# round-robin rounds, each ~60 us of numpy call overhead plus ~11 ns per
-# element of its min(m, n) / 2 row pairs of length m + n (fitted from 16^2
-# to 192 x 128 on a 2-vCPU x86-64 VM; within 25%, mostly below). Starting
-# and stopping a fork pool of two costs 13-17 ms there, so below
-# _POOL_MIN_SECONDS of summed work a second process saves little or nothing.
-_POOL_MIN_SECONDS = 0.05
+def _pool_workers(n_jobs: int) -> int:
+    """Processes for one compress()'s `n_jobs` exact-path decompositions; 0
+    runs them in-process. A pool needs two or more jobs, two or more usable
+    CPUs, the fork start method and a process allowed to start children."""
+    import multiprocessing
 
-
-def _jacobi_seconds(shape: tuple[int, int]) -> float:
-    n, m = min(shape), max(shape)
-    return 8 * (n - 1) * (60e-6 + 11e-9 * n * (m + n) / 2)
-
-
-def _pool_workers(shapes: list[tuple[int, int]]) -> int:
-    """Processes for one compress()'s exact-path decompositions of these
-    shapes; 0 runs them in-process. A pool needs two or more of them, two or
-    more usable CPUs, the fork start method, a process allowed to start
-    children and enough summed work."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if len(shapes) < 2 or cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    if n_jobs < 2 or cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return 0
-    if multiprocessing.current_process().daemon or sum(map(_jacobi_seconds, shapes)) < _POOL_MIN_SECONDS:
-        return 0
-    return min(len(shapes), cpus)
+    return 0 if multiprocessing.current_process().daemon else min(n_jobs, cpus)
 
 
-def _decompose(job: tuple[np.ndarray, RankPolicy]) -> SvdResult:
-    """Pool worker entry. It calls this module's `truncated_svd` by name, so
-    a patched attribute (a tracer's wrapper, a test's spy) is what runs in
-    the forked worker, and it is never pickled."""
-    return truncated_svd(*job)
+def _decompose(job: tuple[np.ndarray, RankPolicy]) -> SvdResult | SkillzipError:
+    """`truncated_svd` of one (w, policy) job, or the package error it
+    raised. Also the pool worker entry: it calls this module's
+    `truncated_svd` by name, so a patched attribute (a tracer's wrapper, a
+    test's spy) is what runs in the forked worker, and it is never pickled."""
+    try:
+        return truncated_svd(*job)
+    except SkillzipError as exc:
+        return exc
 
 
 def _decompose_all(keys: list[tuple[str, str]], jobs: list[tuple[np.ndarray, RankPolicy]]) -> list[SvdResult]:
     """`truncated_svd` of every (w, policy) job, in job order. Exact-path
-    jobs run in a fork pool when `_pool_workers` allows one; sketched ones
-    stay in this process, whose BLAS threads already use the CPUs. The first
+    jobs run in a fork pool when `_pool_workers` allows one; the rest run
+    in this process first, and the pool opens only after them, so worker
+    processes never run beside this process's BLAS threads. The first
     failing job in order raises, prefixed with its (task, layer) key. Fork,
     not spawn: two spawned workers import numpy and skillzip afresh, ~0.4 s,
     about what the pool saves on a 2-CPU machine."""
     exact = [exact_path(w.shape, policy) for w, policy in jobs]
-    workers = _pool_workers([w.shape for (w, _), e in zip(jobs, exact) if e])
-    out = []
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) if workers else nullcontext() as pool:
-        pooled = pool.map(_decompose, [job for job, e in zip(jobs, exact) if e]) if workers else None
-        for key, job, e in zip(keys, jobs, exact):
+    workers = _pool_workers(sum(exact))
+    out: list = [None] * len(jobs)
+    failed = len(jobs)  # index of the first in-process job that failed
+    for i, job in enumerate(jobs):
+        if not (workers and exact[i]):
+            out[i] = _decompose(job)
+            if isinstance(out[i], SkillzipError):
+                failed = i
+                break
+    pooled = [i for i in range(failed) if workers and exact[i]]  # a later job cannot fail first
+    if pooled:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(min(workers, len(pooled)), mp_context=multiprocessing.get_context("fork")) as pool:
+            for i, result in zip(pooled, pool.map(_decompose, [jobs[i] for i in pooled])):
+                out[i] = result
+    for key, result in zip(keys, out):
+        if isinstance(result, SkillzipError):
             with _blame(*key):
-                out.append(next(pooled) if workers and e else truncated_svd(*job))
+                raise result
     return out
 
 

@@ -171,8 +171,8 @@ def test_non_finite_inputs_rejected_before_any_compute(monkeypatch, where, match
     assert calls == []
 
 
-# Four exact-path layers (auto rank 8 on 96 x 64) whose summed Jacobi work
-# is above the pool's crossover; the digests are the in-process packs'.
+# Four exact-path layers (auto rank 8 on 96 x 64); the digests are the
+# in-process packs'.
 POOL_SUITE = dict(n_tasks=2, n_layers=2, c_in=96, c_out=64, calib_tokens=24, eval_tokens=8)
 POOL_DIGESTS = {
     "code": "7e31884750984f762d0f1509d7bcb0a72b7a6aa0d05ca452a038f1850c9b1279",
@@ -219,6 +219,38 @@ def test_pool_packs_match_in_process_bytes(monkeypatch, tmp_path):
         pids = _pids(log)
         assert len(pids) == 4 and all((pid != os.getpid()) == in_workers for pid in pids)
         assert multiprocessing.active_children() == []
+
+
+def test_sketched_jobs_run_before_the_pool_opens(monkeypatch, tmp_path):
+    """A call with both kinds of decomposition runs the sketched ones here
+    while no worker exists, then the exact ones in workers; the packs are
+    the bytes of the all in-process run."""
+    import skillzip.lowrank
+    import skillzip.pipeline
+
+    suite, wide = make_suite(13, **POOL_SUITE), make_suite(14, **{**POOL_SUITE, "n_layers": 1, "c_in": 128, "c_out": 128})
+    base, calib = {**suite.base, "wide": wide.base["layer0"]}, {**suite.calib, "wide": wide.calib["layer0"]}
+    tuned = {task: {**weights, "wide": wide.tuned[task]["layer0"]} for task, weights in suite.tuned.items()}
+    config = PipelineConfig(seed=4, n_candidates=3)  # auto rank: 96 x 64 exact, 128 x 128 sketched
+    parent, log = os.getpid(), tmp_path / "calls"
+
+    def spy(w, policy):
+        workers = len(multiprocessing.active_children()) if os.getpid() == parent else -1
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{skillzip.lowrank.exact_path(w.shape, policy)} {os.getpid() == parent} {workers}\n")
+        return skillzip.lowrank.truncated_svd(w, policy)
+
+    monkeypatch.setattr(skillzip.pipeline, "truncated_svd", spy)
+    digests = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        result = compress(base, tuned, calib, config)
+        digests.append({t: hashlib.sha256(serialize_skillpack(p)).hexdigest() for t, p in result.packs.items()})
+    calls = log.read_text().split("\n")[:-1]
+    assert calls[:6] == ["True True 0", "True True 0", "False True 0"] * 2  # one CPU: all in order, here
+    assert calls[6:8] == ["False True 0"] * 2 and sorted(calls[8:]) == ["True False -1"] * 4
+    assert digests[0] == digests[1]
+    assert multiprocessing.active_children() == []
 
 
 def test_compress_in_a_daemonic_process_stays_in_process(monkeypatch):

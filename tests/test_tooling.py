@@ -103,7 +103,7 @@ def test_bench_summary_on_synthetic_records(tmp_path):
             out = tmp_path / side / f"pair{run}" / "_out"
             out.mkdir(parents=True)
             record = _perfbench_record("compress-exact", 1 + run, value, f"sha{run}")
-            record["ab_run"] = {"wall_s": 21.0 + run, "cpu_s": cpu_s[run]}
+            record["ab_run"] = {"wall_s": 21.0 + run, "cpu_s": cpu_s[run], "max_rss_mb": 40.0 + 4 * run}
             (out / "compress-exact-trace0.json").write_text(json.dumps(record))
         traced = _perfbench_record("compress-exact", 1, 1.0, "sha0", trace=1)
         (tmp_path / side / "traced.json").write_text(json.dumps(traced))
@@ -123,24 +123,29 @@ def test_bench_summary_on_synthetic_records(tmp_path):
     # CPU seconds pair the same way: 40 / 20 and 45 / 30.
     assert entry["paired_cpu_s_ratio"] == pytest.approx({"median": 1.75, "iqr": 0.25})
     assert "paired cpu_s 1.750x (IQR 0.250)" in proc.stdout
-    assert entry["change"]["ab_run"] == {"wall_s": {"median": 21.5, "iqr": 0.5}, "cpu_s": {"median": 42.5, "iqr": 2.5}}
+    assert entry["change"]["ab_run"] == {
+        "wall_s": {"median": 21.5, "iqr": 0.5},
+        "cpu_s": {"median": 42.5, "iqr": 2.5},
+        "max_rss_mb": {"median": 42.0, "iqr": 2.0},
+    }
     assert entry["change"]["pack_sha256"] == {"1": ["sha0"], "2": ["sha1"]}
     assert entry["change"]["op_ms_p50_runs"] == [[1, 1000.0], [2, 1200.0]]
     assert entry["parent"]["context"].startswith("nproc 2, Python 3.11.7, numpy 2.4.6, scipy-openblas 0.3.31")
 
 
 def _stub_run_py(op_ms):
-    """A perfbench/run.py stand-in: spends op_ms / 10^4 CPU seconds, writes a
-    synthetic record where the real one does (per-layer metrics, scaled by
-    op_ms, when traced) and logs which tree ran, from the tree's root, to
-    ../order.log."""
+    """A perfbench/run.py stand-in: spends op_ms / 10^4 CPU seconds, waits
+    for a child process that holds op_ms / 40 MB, writes a synthetic record
+    where the real one does (per-layer metrics, scaled by op_ms, when
+    traced) and logs which tree ran, from the tree's root, to ../order.log."""
     record = json.dumps(_perfbench_record("w", 0, op_ms, "sha"))
     traced = json.dumps({"kernel.forward_quantized_s": {"value": op_ms / 1e5, "unit": "s"}, "bench.flop_ratio": {"value": 4.0, "unit": "ratio"}})
-    return f"""import json, os, sys, time
+    return f"""import json, os, subprocess, sys, time
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 start = time.process_time()
 while time.process_time() - start < {op_ms / 10000.0!r}:  # CPU seconds in proportion to op_ms
     pass
+subprocess.run([sys.executable, "-c", "held = b'x' * {int(op_ms / 40) << 20}"], check=True)  # a peak in a child only
 record = json.loads({record!r})
 record["context"].update(workload=args["--workload"], seed=int(args["--seed"]), trace=int(args["--trace"]))
 if args["--trace"] == "1":
@@ -194,12 +199,14 @@ def test_bench_ab_alternates_parent_and_working_tree_copies(tmp_path):
     assert (root / "change" / "untracked.txt").exists() and not (root / "parent" / "untracked.txt").exists()
     pair_lines = [line for line in proc.stdout.splitlines() if line.startswith("pair ")]
     assert len(pair_lines) == 8
-    for line in pair_lines:  # the 1-minute load average taken before the run, the run's wall and CPU seconds
-        pattern = r"pair [01] \S+ seed [34] (parent|change): op_ms_p50 [\d.]+ ms, load1 \d+\.\d\d, wall \d+\.\d\d s, cpu \d+\.\d\d s"
+    for line in pair_lines:  # the 1-minute load average taken before the run, the run's wall and CPU seconds, peak memory
+        pattern = r"pair [01] \S+ seed [34] (parent|change): op_ms_p50 [\d.]+ ms, load1 \d+\.\d\d, wall \d+\.\d\d s, cpu \d+\.\d\d s, max rss \d+\.\d MB"
         assert re.fullmatch(pattern, line), line
     for entry in summary.values():  # the stub spends 0.2 s of CPU as parent, 0.1 s as change, plus start-up
         assert 0.3 < entry["paired_cpu_s_ratio"]["median"] < 0.8
         assert entry["parent"]["ab_run"]["cpu_s"]["median"] >= 0.2 and entry["change"]["ab_run"]["wall_s"]["median"] >= 0.1
+        # The child's 50 MB (parent) or 25 MB (change) is the peak of the whole run, not the stub's own.
+        assert 50 < entry["parent"]["ab_run"]["max_rss_mb"]["median"] < 80 and 25 < entry["change"]["ab_run"]["max_rss_mb"]["median"] < 50
     record = json.loads((root / "records" / "change" / "pair000" / "serve-long-seed3-trace0.json").read_text())
     assert record["ab_run"]["cpu_s"] >= 0.1
     assert re.search(r"paired cpu_s 0\.\d{3}x \(IQR \d\.\d{3}\)", proc.stdout)
