@@ -11,14 +11,15 @@ component across tasks is merged into the backbone and subtracted from
 each delta. Every stage can be toggled off independently, which is what
 the ablation harness exercises.
 
-Every layer is smoothed first, then every layer decomposed, then the rest
-runs layer by layer. The decompositions that take the exact Jacobi path
-(`lowrank.exact_path`) run in a fork pool of min(jobs, usable CPUs)
-workers when there are two or more such jobs, two or more CPUs in
-`os.sched_getaffinity`, the fork start method and a process allowed to
-start children. Sketched decompositions stay in this process and run
-before the pool opens; their range finder already runs multithreaded
-BLAS, and worker processes beside it would oversubscribe the CPUs. The
+Every layer is smoothed first, here. Each (task, layer) is then one job:
+truncated SVD, square-root split, rotation search and fold. The jobs run in
+a fork pool of min(jobs, usable CPUs) workers when there are two or more
+jobs, two or more CPUs in `os.sched_getaffinity`, the fork start method, a
+process allowed to start children and a loaded OpenBLAS whose thread count
+can be set. While the pool is open this process holds OpenBLAS at one
+thread, a setting the workers inherit, so no worker starts a helper thread
+that spins beside the others. Quantization, GPTQ and mid-scale calibration
+then run here, in (task, layer) order at the restored thread count. The
 pool closes before `compress` returns, and the results are the same bits
 either way.
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ from .archive import check_name
 from .deltas import MergePlan, TaskDelta, apply_delta, extract_delta, merge_shared, recenter
 from .errors import ShapeError, SkillzipError, ValidationError
 from .kernel import compile_layer
-from .lowrank import RankPolicy, SvdResult, exact_path, split_factors, truncated_svd
+from .lowrank import RankPolicy, split_factors, truncated_svd
 from .packio import MAX_TASK_ID_BYTES, Skillpack, manifest_for
 from .prng import Prng
 from .quant import QuantConfig
@@ -153,29 +154,6 @@ class CompressionResult:
     packs: dict[str, Skillpack]
 
 
-def _finish_layer(name: str, s, x_s, x_calib, svd: SvdResult, config: PipelineConfig, rng: Prng):
-    """One decomposed layer through split -> rotate -> quantize; returns the
-    compiled layer."""
-    a, b = split_factors(svd)
-    rotation_index = 0
-    if config.toggles.rotate and a.shape[1] > 1:
-        held = x_s[: max(1, x_s.shape[0] // 2)]  # held slice for selection
-        choice = select_rotation(a, b, held, config.quant, rng, config.n_candidates)
-        rotation_index = choice.candidate_index
-        if rotation_index != 0:
-            a, b = fold_rotation(a, b, choice.q)
-    return compile_layer(
-        name,
-        s,
-        a,
-        b,
-        config.quant,
-        x_calib=x_calib,
-        use_gptq=config.toggles.gptq,
-        rotation_index=rotation_index,
-    )
-
-
 @contextmanager
 def _blame(task_id: str, layer_name: str):
     """Prefix a package error raised inside with the task and layer it concerns."""
@@ -186,9 +164,9 @@ def _blame(task_id: str, layer_name: str):
 
 
 def _pool_workers(n_jobs: int) -> int:
-    """Processes for one compress()'s `n_jobs` exact-path decompositions; 0
-    runs them in-process. A pool needs two or more jobs, two or more usable
-    CPUs, the fork start method and a process allowed to start children."""
+    """Processes for one compress()'s `n_jobs` layer jobs; 0 runs them
+    in-process. A pool needs two or more jobs, two or more usable CPUs, the
+    fork start method and a process allowed to start children."""
     import multiprocessing
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -197,47 +175,72 @@ def _pool_workers(n_jobs: int) -> int:
     return 0 if multiprocessing.current_process().daemon else min(n_jobs, cpus)
 
 
-def _decompose(job: tuple[np.ndarray, RankPolicy]) -> SvdResult | SkillzipError:
-    """`truncated_svd` of one (w, policy) job, or the package error it
-    raised. Also the pool worker entry: it calls this module's
-    `truncated_svd` by name, so a patched attribute (a tracer's wrapper, a
-    test's spy) is what runs in the forked worker, and it is never pickled."""
+def _blas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS loaded in this
+    process, found through /proc/self/maps; None when there is none."""
+    import ctypes
+
     try:
-        return truncated_svd(*job)
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.rsplit("/", 1)[-1]})
+        handles = [ctypes.CDLL(lib) for lib in libs]
+    except OSError:  # no procfs (not Linux), or a mapped file that is gone
+        return None
+    for handle in handles:
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads", "openblas_{}_num_threads64_"):
+            get, put = (getattr(handle, name.format(verb), None) for verb in ("get", "set"))
+            if get and put:
+                get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _factor(job):
+    """One smoothed layer through SVD -> split -> rotation search -> fold:
+    (a, b, rotation_index), or the package error raised. Also the pool
+    worker entry: it calls this module's `truncated_svd`, `split_factors`,
+    `select_rotation` and `fold_rotation` by name, so a patched attribute (a
+    tracer's wrapper, a test's spy) is what runs in the forked worker, and
+    it is never pickled."""
+    w_s, policy, held, config, rng = job
+    try:
+        a, b = split_factors(truncated_svd(w_s, policy))
+        if not (config.toggles.rotate and a.shape[1] > 1):
+            return a, b, 0
+        choice = select_rotation(a, b, held, config.quant, rng, config.n_candidates)
+        if choice.candidate_index != 0:
+            a, b = fold_rotation(a, b, choice.q)
+        return a, b, choice.candidate_index
     except SkillzipError as exc:
         return exc
 
 
-def _decompose_all(keys: list[tuple[str, str]], jobs: list[tuple[np.ndarray, RankPolicy]]) -> list[SvdResult]:
-    """`truncated_svd` of every (w, policy) job, in job order. Exact-path
-    jobs run in a fork pool when `_pool_workers` allows one; the rest run
-    in this process first, and the pool opens only after them, so worker
-    processes never run beside this process's BLAS threads. The first
-    failing job in order raises, prefixed with its (task, layer) key. Fork,
-    not spawn: two spawned workers import numpy and skillzip afresh, ~0.4 s,
-    about what the pool saves on a 2-CPU machine."""
-    exact = [exact_path(w.shape, policy) for w, policy in jobs]
-    workers = _pool_workers(sum(exact))
-    out: list = [None] * len(jobs)
-    failed = len(jobs)  # index of the first in-process job that failed
-    for i, job in enumerate(jobs):
-        if not (workers and exact[i]):
-            out[i] = _decompose(job)
-            if isinstance(out[i], SkillzipError):
-                failed = i
-                break
-    pooled = [i for i in range(failed) if workers and exact[i]]  # a later job cannot fail first
-    if pooled:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+def _factor_all(keys: list[tuple[str, str]], jobs: list[tuple]) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """`_factor` of every job, in job order. The jobs run in a fork pool
+    when `_pool_workers` allows one and the loaded OpenBLAS's thread count
+    can be set, else here, up to the first failure. The first failing job in
+    order raises, prefixed with its (task, layer) key. Fork, not spawn: two
+    spawned workers import numpy and skillzip afresh, ~0.4 s."""
+    workers = _pool_workers(len(jobs))
+    blas = _blas_threads() if workers else None
+    out = []
+    with ExitStack() as stack:
+        if blas:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(min(workers, len(pooled)), mp_context=multiprocessing.get_context("fork")) as pool:
-            for i, result in zip(pooled, pool.map(_decompose, [jobs[i] for i in pooled])):
-                out[i] = result
-    for key, result in zip(keys, out):
-        if isinstance(result, SkillzipError):
-            with _blame(*key):
-                raise result
+            get, put = blas
+            stack.callback(put, get())  # on every exit, once the pool has shut down
+            put(1)  # inherited by the workers: each runs its GEMMs itself and starts no spinning helper thread
+            context = multiprocessing.get_context("fork")
+            results = stack.enter_context(ProcessPoolExecutor(workers, mp_context=context)).map(_factor, jobs)
+        else:
+            results = map(_factor, jobs)  # lazy: nothing after the first failure runs
+        for key, result in zip(keys, results):
+            if isinstance(result, SkillzipError):
+                with _blame(*key):
+                    raise result
+            out.append(result)
     return out
 
 
@@ -287,24 +290,25 @@ def compress(
 
     residual_layers = {residual.task_id: residual.layers for residual in residuals}
     keys = [(task_id, name) for task_id, layers in residual_layers.items() for name in sorted(layers)]
-    smoothed, jobs = [], []
+    scales, jobs = [], []
     for task_id, name in keys:
-        delta = residual_layers[task_id][name]
+        delta, x = residual_layers[task_id][name], calib[name]
         with _blame(task_id, name):
             if config.toggles.smooth:
                 s = compute_smooth(mean_abs[name], delta, config.alpha, config.epsilon)
             else:
                 s = np.ones(delta.shape[0], dtype=np.float32)
-            x_s, w_s = apply_smooth(calib[name], delta, s)
-            smoothed.append((s, x_s))
-            jobs.append((w_s, config.rank_policy(min(w_s.shape))))
-    svds = _decompose_all(keys, jobs)
+            held, w_s = apply_smooth(x[: max(1, x.shape[0] // 2)], delta, s)  # the rows rotation selection scores on
+            scales.append(s)
+            jobs.append((w_s, config.rank_policy(min(w_s.shape)), held, config, master.spawn(f"{task_id}/{name}")))
+    factored = _factor_all(keys, jobs)
 
     layers: dict[str, dict] = {task_id: {} for task_id in residual_layers}
-    for (task_id, name), (s, x_s), svd in zip(keys, smoothed, svds):
+    for (task_id, name), s, (a, b, rotation_index) in zip(keys, scales, factored):
         with _blame(task_id, name):
-            rng = master.spawn(f"{task_id}/{name}")
-            layers[task_id][name] = _finish_layer(name, s, x_s, calib[name], svd, config, rng)
+            layers[task_id][name] = compile_layer(
+                name, s, a, b, config.quant, x_calib=calib[name], use_gptq=config.toggles.gptq, rotation_index=rotation_index
+            )
     packs: dict[str, Skillpack] = {}
     for task_id, task_layers in layers.items():
         pack = Skillpack(task_id=task_id, layers=task_layers)

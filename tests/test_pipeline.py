@@ -221,36 +221,101 @@ def test_pool_packs_match_in_process_bytes(monkeypatch, tmp_path):
         assert multiprocessing.active_children() == []
 
 
-def test_sketched_jobs_run_before_the_pool_opens(monkeypatch, tmp_path):
-    """A call with both kinds of decomposition runs the sketched ones here
-    while no worker exists, then the exact ones in workers; the packs are
-    the bytes of the all in-process run."""
+def test_mixed_call_factors_every_layer_in_workers(monkeypatch, tmp_path):
+    """A call with both exact-path and sketched layers runs every
+    decomposition and every rotation search in a worker, and its packs are
+    the bytes of the one-CPU run, which runs them all here."""
     import skillzip.lowrank
     import skillzip.pipeline
+    import skillzip.smoothing
 
     suite, wide = make_suite(13, **POOL_SUITE), make_suite(14, **{**POOL_SUITE, "n_layers": 1, "c_in": 128, "c_out": 128})
     base, calib = {**suite.base, "wide": wide.base["layer0"]}, {**suite.calib, "wide": wide.calib["layer0"]}
     tuned = {task: {**weights, "wide": wide.tuned[task]["layer0"]} for task, weights in suite.tuned.items()}
     config = PipelineConfig(seed=4, n_candidates=3)  # auto rank: 96 x 64 exact, 128 x 128 sketched
-    parent, log = os.getpid(), tmp_path / "calls"
+    log = tmp_path / "calls"
 
-    def spy(w, policy):
-        workers = len(multiprocessing.active_children()) if os.getpid() == parent else -1
-        with open(log, "a", encoding="utf-8") as f:
-            f.write(f"{skillzip.lowrank.exact_path(w.shape, policy)} {os.getpid() == parent} {workers}\n")
-        return skillzip.lowrank.truncated_svd(w, policy)
+    def spy(name, fn, describe):
+        def logged(*args):
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{name}:{describe(*args)}:{os.getpid()}\n")
+            return fn(*args)
 
-    monkeypatch.setattr(skillzip.pipeline, "truncated_svd", spy)
-    digests = []
+        monkeypatch.setattr(skillzip.pipeline, name, logged)
+
+    spy("truncated_svd", skillzip.lowrank.truncated_svd, lambda w, policy: skillzip.lowrank.exact_path(w.shape, policy))
+    spy("select_rotation", skillzip.smoothing.select_rotation, lambda *args: "")
+    digests, calls = [], []
     for cpus in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         result = compress(base, tuned, calib, config)
         digests.append({t: hashlib.sha256(serialize_skillpack(p)).hexdigest() for t, p in result.packs.items()})
-    calls = log.read_text().split("\n")[:-1]
-    assert calls[:6] == ["True True 0", "True True 0", "False True 0"] * 2  # one CPU: all in order, here
-    assert calls[6:8] == ["False True 0"] * 2 and sorted(calls[8:]) == ["True False -1"] * 4
+        calls.append([line.rsplit(":", 1) for line in log.read_text().split()])
+        log.unlink()
+        assert multiprocessing.active_children() == []
     assert digests[0] == digests[1]
+    for run, here in zip(calls, (True, False)):
+        assert sorted(call for call, _ in run) == sorted(["truncated_svd:True"] * 4 + ["truncated_svd:False"] * 2 + ["select_rotation:"] * 6)
+        assert all((int(pid) == os.getpid()) == here for _, pid in run)
+
+
+def _blas():
+    import skillzip.pipeline
+
+    blas = skillzip.pipeline._blas_threads()
+    if blas is None:
+        pytest.skip("numpy loaded no OpenBLAS whose thread count can be set")
+    return blas
+
+
+def test_pool_holds_blas_at_one_thread_and_restores_it(monkeypatch, tmp_path):
+    """While the pool is open, a worker reads one OpenBLAS thread; after
+    compress() the parent's count is what it was, also when a worker job
+    raised."""
+    import skillzip.lowrank
+    import skillzip.pipeline
+
+    get, put = _blas()
+    before = get()
+    log = tmp_path / "threads"
+
+    def spy(fail):
+        def logged(w, policy):
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()} {get()}\n")
+            if fail:
+                raise ValidationError("worker job failed")
+            return skillzip.lowrank.truncated_svd(w, policy)
+
+        monkeypatch.setattr(skillzip.pipeline, "truncated_svd", logged)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    try:
+        put(2)
+        spy(fail=False)
+        assert _pool_suite_digests() == POOL_DIGESTS
+        assert get() == 2
+        spy(fail=True)
+        with pytest.raises(ValidationError, match="worker job failed$"):
+            _pool_suite_digests()
+        assert get() == 2
+    finally:
+        put(before)
+    rows = [line.split() for line in log.read_text().splitlines()]
+    assert len(rows) == 8 and all(int(pid) != os.getpid() and threads == "1" for pid, threads in rows)
     assert multiprocessing.active_children() == []
+
+
+def test_no_blas_control_keeps_compress_in_process(monkeypatch, tmp_path):
+    """When no OpenBLAS thread control is found, compress() opens no pool,
+    even with two CPUs, and gives the same bytes."""
+    import skillzip.pipeline
+
+    monkeypatch.setattr(skillzip.pipeline, "_blas_threads", lambda: None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _spy_svd(monkeypatch, tmp_path / "pids")
+    assert _pool_suite_digests() == POOL_DIGESTS
+    assert _pids(tmp_path / "pids") == [os.getpid()] * 4
 
 
 def test_compress_in_a_daemonic_process_stays_in_process(monkeypatch):

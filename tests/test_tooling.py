@@ -237,3 +237,15 @@ def test_bench_ab_traced_runs_reach_the_summary(tmp_path):
     runs = (root / "order.log").read_text().split()
     assert runs[-4:] == ["parent", "serve-long", "change", "serve-long"]
     assert "serve-long traced change: kernel.forward_quantized_s 0.01, bench.flop_ratio 4; missing patch points none" in proc.stdout
+
+
+def test_importing_skillzip_loads_no_process_pool():
+    """Only compress() opens a worker pool, so a fresh `import skillzip`
+    (what serving pays) loads neither `multiprocessing` nor
+    `concurrent.futures`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, skillzip; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
