@@ -77,6 +77,8 @@ class CompiledSkillLayer:
             raise ShapeError("A columns must equal B rows (rank)")
         if self.a_hat.scale.granularity != PER_TENSOR:
             raise ValidationError("A must carry a per-tensor scale")
+        if not (isinstance(self.rotation_index, (int, np.integer)) and 0 <= self.rotation_index < 2**32):
+            raise ValidationError(f"rotation index must be an integer in 0..2^32 - 1, got {self.rotation_index!r}")
         if not (self.mid_scale > 0) or not np.isfinite(self.mid_scale):
             raise ValidationError("mid requant scale must be positive and finite")
         grids = (self.a_hat.bits, self.b_hat.bits, self.b_hat.scale.granularity)
@@ -107,7 +109,7 @@ def gemm_i8_i32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """One float32 product per chunk of K (see module notes); several are summed in float64."""
-    if a.shape[1] != b.shape[0]:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"gemm shape mismatch: {a.shape} x {b.shape}")
     if a.shape[1] > MAX_CONTRACTION:
         raise ShapeError(f"contraction dimension {a.shape[1]} exceeds the int32 guarantee")
@@ -172,7 +174,7 @@ def forward_quantized(
 
 def forward_full(backbone_w: np.ndarray, layer: CompiledSkillLayer | None, x: np.ndarray) -> np.ndarray:
     """Shared-path output x @ W plus the skillpack path when one is attached."""
-    if x.shape[1] != backbone_w.shape[0]:
+    if x.ndim != 2 or x.shape[1] != backbone_w.shape[0]:
         raise ShapeError(f"activations {x.shape} do not match backbone {backbone_w.shape}")
     base = matmul(x, backbone_w)
     if layer is None:
@@ -209,8 +211,8 @@ def compile_layer(
     smooth = np.asarray(smooth, dtype=np.float32).reshape(-1)
     if (smooth <= 0).any() or not np.isfinite(smooth).all():
         raise ValidationError("smoothing vector must be positive and finite")
-    if x_calib is not None and (x_calib.ndim != 2 or x_calib.shape[1] != smooth.size):
-        raise ShapeError(f"calibration activations must be T x {smooth.size}, got {x_calib.shape}")
+    if x_calib is not None and (x_calib.ndim != 2 or x_calib.shape[1] != smooth.size or x_calib.shape[0] < 1):
+        raise ShapeError(f"calibration activations must be T x {smooth.size}, T >= 1, got {x_calib.shape}")
     a_hat = quantize(np.asarray(a_fp, dtype=np.float32), config.bits_a, PER_TENSOR)
     b_hat = quantize(np.asarray(b_fp, dtype=np.float32), config.bits_b, config.gran_b)
 

@@ -203,8 +203,8 @@ def jacobi_svd_full(w: np.ndarray):
     orthonormal; the largest-magnitude entry of each u column is
     nonnegative.
     """
-    if w.ndim != 2:
-        raise ShapeError("decomposition input must be 2-D")
+    if w.ndim != 2 or 0 in w.shape:
+        raise ShapeError(f"decomposition input must be 2-D and non-empty, got {w.shape}")
     if not np.isfinite(w).all():
         raise ValidationError("decomposition input contains non-finite values")
     m, n = w.shape

@@ -12,16 +12,19 @@ each delta. Every stage can be toggled off independently, which is what
 the ablation harness exercises.
 
 Every layer is smoothed first, here. Each (task, layer) is then one job:
-truncated SVD, square-root split, rotation search and fold. The jobs run in
-a fork pool of min(jobs, usable CPUs) workers when there are two or more
-jobs, two or more CPUs in `os.sched_getaffinity`, the fork start method, a
-process allowed to start children and a loaded OpenBLAS whose thread count
-can be set. While the pool is open this process holds OpenBLAS at one
-thread, a setting the workers inherit, so no worker starts a helper thread
-that spins beside the others. Quantization, GPTQ and mid-scale calibration
-then run here, in (task, layer) order at the restored thread count. The
-pool closes before `compress` returns, and the results are the same bits
-either way.
+truncated SVD, square-root split, rotation search and fold. Their results
+are taken in (task, layer) order from one lazy map: a fork pool's, of
+min(jobs, usable CPUs) workers, when there are two or more jobs, two or
+more CPUs in `os.sched_getaffinity`, a process allowed to start children
+and a loaded OpenBLAS whose thread count can be set; else the builtin. A
+job's package error, a worker's included, is raised where its result is
+taken, so the first failing job in order raises and, here, no later job
+runs. While the pool is open this process holds OpenBLAS at one thread, a
+setting the workers inherit, so no worker starts a helper thread that
+spins beside the others. Quantization, GPTQ and mid-scale calibration then
+run here, in (task, layer) order at the restored thread count. The pool
+closes before `compress` returns, and the results are the same bits either
+way.
 
 All randomness flows from one master seed through labeled child streams
 (`task/layer` labels), so runs are reproducible and independent of task
@@ -163,18 +166,6 @@ def _blame(task_id: str, layer_name: str):
         raise type(exc)(f"task {task_id!r} layer {layer_name!r}: {exc}") from exc
 
 
-def _pool_workers(n_jobs: int) -> int:
-    """Processes for one compress()'s `n_jobs` layer jobs; 0 runs them
-    in-process. A pool needs two or more jobs, two or more usable CPUs, the
-    fork start method and a process allowed to start children."""
-    import multiprocessing
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if n_jobs < 2 or cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return 0
-    return 0 if multiprocessing.current_process().daemon else min(n_jobs, cpus)
-
-
 def _blas_threads():
     """The (get, set) thread-count functions of the OpenBLAS loaded in this
     process, found through /proc/self/maps; None when there is none."""
@@ -197,50 +188,44 @@ def _blas_threads():
 
 def _factor(job):
     """One smoothed layer through SVD -> split -> rotation search -> fold:
-    (a, b, rotation_index), or the package error raised. Also the pool
-    worker entry: it calls this module's `truncated_svd`, `split_factors`,
-    `select_rotation` and `fold_rotation` by name, so a patched attribute (a
-    tracer's wrapper, a test's spy) is what runs in the forked worker, and
-    it is never pickled."""
+    (a, b, rotation_index). Also the pool worker entry: it calls this
+    module's `truncated_svd`, `split_factors`, `select_rotation` and
+    `fold_rotation` by name, so a patched attribute (a tracer's wrapper, a
+    test's spy) is what runs in the forked worker, and it is never pickled."""
     w_s, policy, held, config, rng = job
-    try:
-        a, b = split_factors(truncated_svd(w_s, policy))
-        if not (config.toggles.rotate and a.shape[1] > 1):
-            return a, b, 0
-        choice = select_rotation(a, b, held, config.quant, rng, config.n_candidates)
-        if choice.candidate_index != 0:
-            a, b = fold_rotation(a, b, choice.q)
-        return a, b, choice.candidate_index
-    except SkillzipError as exc:
-        return exc
+    a, b = split_factors(truncated_svd(w_s, policy))
+    if not (config.toggles.rotate and a.shape[1] > 1):
+        return a, b, 0
+    choice = select_rotation(a, b, held, config.quant, rng, config.n_candidates)
+    if choice.candidate_index != 0:
+        a, b = fold_rotation(a, b, choice.q)
+    return a, b, choice.candidate_index
 
 
 def _factor_all(keys: list[tuple[str, str]], jobs: list[tuple]) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """`_factor` of every job, in job order. The jobs run in a fork pool
-    when `_pool_workers` allows one and the loaded OpenBLAS's thread count
-    can be set, else here, up to the first failure. The first failing job in
-    order raises, prefixed with its (task, layer) key. Fork, not spawn: two
-    spawned workers import numpy and skillzip afresh, ~0.4 s."""
-    workers = _pool_workers(len(jobs))
-    blas = _blas_threads() if workers else None
+    """`_factor` of every job, in job order, from one lazy map: the fork
+    pool's when the module notes allow one, else the builtin. The first
+    failing job in order raises, prefixed with its (task, layer) key. Fork,
+    not spawn: two spawned workers import numpy and skillzip afresh, ~0.4 s."""
+    import multiprocessing
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    pooled = len(jobs) > 1 and cpus > 1 and not multiprocessing.current_process().daemon
+    blas = _blas_threads() if pooled else None
     out = []
     with ExitStack() as stack:
+        results = map(_factor, jobs)  # lazy: nothing after the first failure runs
         if blas:
-            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             get, put = blas
             stack.callback(put, get())  # on every exit, once the pool has shut down
             put(1)  # inherited by the workers: each runs its GEMMs itself and starts no spinning helper thread
-            context = multiprocessing.get_context("fork")
-            results = stack.enter_context(ProcessPoolExecutor(workers, mp_context=context)).map(_factor, jobs)
-        else:
-            results = map(_factor, jobs)  # lazy: nothing after the first failure runs
-        for key, result in zip(keys, results):
-            if isinstance(result, SkillzipError):
-                with _blame(*key):
-                    raise result
-            out.append(result)
+            pool = ProcessPoolExecutor(min(len(jobs), cpus), mp_context=multiprocessing.get_context("fork"))
+            results = stack.enter_context(pool).map(_factor, jobs)
+        for key in keys:
+            with _blame(*key):  # a worker's error is re-raised here, at its job's position
+                out.append(next(results))
     return out
 
 

@@ -205,8 +205,8 @@ def calibration_hessian(m_calib: np.ndarray) -> np.ndarray:
     (typically the int32 accumulator of the first stage, cast to float).
     """
     m64 = np.asarray(m_calib, dtype=np.float64)
-    if m64.ndim != 2:
-        raise ShapeError("calibration matrix must be 2-D")
+    if m64.ndim != 2 or m64.shape[0] < 1:
+        raise ShapeError(f"calibration matrix must be 2-D with T >= 1 rows, got {m64.shape}")
     h = m64.T @ m64 / m64.shape[0]
     mean_diag = float(np.mean(np.diag(h)))
     if mean_diag <= 0:

@@ -49,6 +49,9 @@ _LOCKSTEP_BYTES = 4 << 20
 
 def profile(calib: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Per layer, the float64 mean |x| of each input channel over T >= 1 rows."""
+    for name, x in calib.items():
+        if x.ndim != 2 or x.shape[0] < 1:
+            raise ShapeError(f"calibration activations for layer {name!r} are {x.shape}, not T x C, T >= 1")
     return {name: np.abs(x.astype(np.float64)).sum(axis=0) / x.shape[0] for name, x in calib.items()}
 
 
@@ -70,8 +73,8 @@ def compute_smooth(
     """
     mean_abs = np.asarray(mean_abs, dtype=np.float64).reshape(-1)
     check_smooth_params(alpha, epsilon)
-    if w.shape[0] != mean_abs.size:
-        raise ShapeError(f"weight has {w.shape[0]} input channels, stats have {mean_abs.size}")
+    if w.ndim != 2 or w.shape[0] != mean_abs.size:
+        raise ShapeError(f"weight {w.shape} is not 2-D with the stats' {mean_abs.size} input channels")
     row_peak = np.maximum(np.max(np.abs(w.astype(np.float64)), axis=1), epsilon)
     s = np.maximum(mean_abs, 0.0) ** alpha / row_peak ** (1.0 - alpha)
     return np.maximum(s, epsilon).astype(np.float32)
@@ -82,8 +85,8 @@ def apply_smooth(x: np.ndarray, w: np.ndarray, s: np.ndarray) -> tuple[np.ndarra
     s = np.asarray(s, dtype=np.float32).reshape(-1)
     if (s <= 0).any() or not np.isfinite(s).all():
         raise ValidationError("smoothing factors must be positive and finite")
-    if x.shape[1] != s.size or w.shape[0] != s.size:
-        raise ShapeError("smoothing vector length must match X columns and W rows")
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != s.size or w.shape[0] != s.size:
+        raise ShapeError("X and W must be 2-D, with as many X columns and W rows as smoothing factors")
     x_s = (x / s[None, :]).astype(np.float32)
     w_s = (w * s[:, None]).astype(np.float32)
     return x_s, w_s
@@ -164,7 +167,7 @@ def sample_rotation(prng: Prng, r: int) -> np.ndarray:
 
 def fold_rotation(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A Q, Q^T B); preserves the product A @ B for orthogonal Q."""
-    if a.shape[1] != q.shape[0] or q.shape[0] != q.shape[1] or b.shape[0] != q.shape[1]:
+    if not a.ndim == b.ndim == q.ndim == 2 or not a.shape[1] == q.shape[0] == q.shape[1] == b.shape[0]:
         raise ShapeError(f"rotation {q.shape} does not match factors {a.shape} x {b.shape}")
     a_rot = matmul(a.astype(np.float32), q.astype(np.float32))
     b_rot = matmul(q.T.astype(np.float32), b.astype(np.float32))
@@ -202,8 +205,8 @@ def select_rotation(
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"factors must be 2-D with A's columns matching B's rows, got {a.shape} x {b.shape}")
-    if x_calib.ndim != 2 or x_calib.shape[1] != a.shape[0]:
-        raise ShapeError("calibration activations do not match A's input dimension")
+    if x_calib.ndim != 2 or x_calib.shape[1] != a.shape[0] or x_calib.shape[0] < 1:
+        raise ShapeError(f"calibration activations must be T x {a.shape[0]}, T >= 1, got {x_calib.shape}")
     if not 0 <= n_candidates <= MAX_CANDIDATES:
         raise ValidationError(f"candidate count must lie in 0..{MAX_CANDIDATES}, got {n_candidates}")
     r = a.shape[1]

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from skillzip import ValidationError, profile
+from skillzip import QuantConfig, ShapeError, ValidationError, compile_layer, profile, select_rotation
 from skillzip.fixtures import make_suite, outlier_activations
 from skillzip.prng import Prng
+from skillzip.quant import calibration_hessian
 
 
 def _synth(seed, tokens, channels, n_outliers, ratio):
@@ -70,3 +71,25 @@ def test_synth_too_many_outliers():
     for n_outliers in (-1, 4, 5):
         with pytest.raises(ValidationError, match="outlier channel count"):
             make_suite(1, c_in=4, c_out=4, outlier_channels=n_outliers)
+
+
+_A, _B, _NO_ROWS = np.ones((4, 2), dtype=np.float32), np.ones((2, 4), dtype=np.float32), np.zeros((0, 4), np.float32)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: profile({"l": _NO_ROWS}),
+        lambda: profile({"l": np.ones(4, dtype=np.float32)}),
+        lambda: calibration_hessian(np.zeros((0, 2))),
+        lambda: compile_layer("l", np.ones(4, dtype=np.float32), _A, _B, QuantConfig(), x_calib=_NO_ROWS),
+        lambda: compile_layer("l", np.ones(4, dtype=np.float32), _A, _B, QuantConfig(), x_calib=_NO_ROWS, use_gptq=True),
+        lambda: select_rotation(_A, _B, _NO_ROWS, QuantConfig(), Prng(0), 2),
+    ],
+    ids=["profile-no-rows", "profile-1d", "hessian-no-rows", "compile-no-rows", "compile-gptq-no-rows", "rotation-no-rows"],
+)
+def test_calibration_refuses_zero_rows(call):
+    """Calibration needs T >= 1 rows of a T x C array: anything else is
+    refused with ShapeError, before a 0/0 can warn."""
+    with pytest.raises(ShapeError):
+        call()

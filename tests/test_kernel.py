@@ -18,10 +18,13 @@ from skillzip import (
     SkillRegistry,
     Skillpack,
     ValidationError,
+    apply_smooth,
     compile_layer,
+    compute_smooth,
     dequantize,
     dispatch_batch,
     dispatch_sequential,
+    fold_rotation,
     forward_full,
     forward_quantized,
     gemm_i8_i32,
@@ -31,6 +34,7 @@ from skillzip import (
 from skillzip import kernel
 from skillzip.fixtures import outlier_activations
 from skillzip.kernel import F32_EXACT_CONTRACTION, MAX_CONTRACTION, calibrate_mid_scale
+from skillzip.packio import serialize_skillpack
 from skillzip.quant import PER_CHANNEL, PER_TENSOR, PER_TOKEN, count_clamped, quantize_codes
 from skillzip.prng import Prng
 from skillzip.tensors import fro_norm, matmul
@@ -726,3 +730,38 @@ def test_calibration_divides_and_serving_multiplies():
     assert forward_quantized(layer, x).tobytes() == want_out.tobytes()
     divided, multiplied = (quantize_codes(x_s, 8, PER_TOKEN, None)[0] for x_s in (x / smooth, x * layer.smooth_inv))
     assert divided.tolist() == [[127, 1]] and multiplied.tolist() == [[127, 0]]
+
+
+_VEC, _MAT = np.ones(4, dtype=np.float32), np.ones((4, 4), dtype=np.float32)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (apply_smooth, (_VEC, _MAT, _VEC)),
+        (apply_smooth, (_MAT, _VEC, _VEC)),
+        (compute_smooth, (_VEC, _VEC)),
+        (fold_rotation, (_VEC, _MAT, _MAT)),
+        (fold_rotation, (_MAT, _MAT, _VEC)),
+        (forward_full, (_MAT, None, _VEC)),
+        (gemm_i8_i32, (_VEC, _MAT)),
+        (gemm_i8_i32, (_MAT, _VEC)),
+    ],
+    ids=["smooth-x", "smooth-w", "compute-smooth-w", "fold-a", "fold-q", "forward-full-x", "gemm-a", "gemm-b"],
+)
+def test_one_dimensional_matrix_arguments_refused(fn, args):
+    """A 1-D array where a matrix belongs is refused with ShapeError, not
+    an IndexError, an AxisError or a silently 1-D or broadcast result."""
+    with pytest.raises(ShapeError):
+        fn(*args)
+
+
+@pytest.mark.parametrize("index", [-1, 2**32, 1.5])
+def test_rotation_index_outside_u32_refused(index):
+    """The SKZ rotation field is u32: a layer with any other index is
+    refused when it is built, and the largest u32 serializes."""
+    a, b = np.ones((4, 2), dtype=np.float32), np.ones((2, 4), dtype=np.float32)
+    with pytest.raises(ValidationError, match="rotation index must be an integer in 0..2\\^32 - 1"):
+        compile_layer("l", np.ones(4, dtype=np.float32), a, b, QuantConfig(), mid_scale=1.0, rotation_index=index)
+    layer = compile_layer("l", np.ones(4, dtype=np.float32), a, b, QuantConfig(), mid_scale=1.0, rotation_index=2**32 - 1)
+    assert serialize_skillpack(Skillpack("t", {"l": layer}))

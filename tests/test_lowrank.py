@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jacobi_reference
-from skillzip import RankPolicy, ValidationError, lowrank, split_factors, truncated_svd
+from skillzip import RankPolicy, ShapeError, ValidationError, lowrank, split_factors, truncated_svd
 from skillzip.lowrank import jacobi_svd_full
 from skillzip.prng import Prng
 from skillzip.tensors import fro_norm
@@ -294,3 +294,14 @@ def test_split_energy_balance_and_product():
     assert fro_norm((product - _reconstruct(svd)).astype(np.float32)) <= 1e-5 * max(
         fro_norm(_reconstruct(svd).astype(np.float32)), 1e-12
     )
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0)])
+def test_empty_matrix_refused(shape):
+    """The exact SVD and an energy-policy truncated SVD refuse an empty
+    matrix, in either orientation, with ShapeError."""
+    w = np.zeros(shape, dtype=np.float32)
+    with pytest.raises(ShapeError, match="non-empty"):
+        jacobi_svd_full(w)
+    with pytest.raises(ShapeError, match="non-empty"):
+        truncated_svd(w, RankPolicy.energy(0.9))

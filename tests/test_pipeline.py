@@ -357,6 +357,18 @@ def test_worker_error_keeps_class_prefix_and_order(monkeypatch, tmp_path):
     assert all(pid != os.getpid() for pid in _pids(log))
 
 
+def test_in_process_jobs_stop_at_the_first_failure(monkeypatch, tmp_path):
+    """With one usable CPU the jobs run here in (task, layer) order, and no
+    job after the first failing one runs."""
+    suite = make_suite(13, **POOL_SUITE)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    log = tmp_path / "pids"
+    _spy_svd(monkeypatch, log, lambda w: "job 1 failed" if len(_pids(log)) == 2 else None)
+    with pytest.raises(ValidationError, match=f"^task {list(suite.tuned)[0]!r} layer 'layer1': job 1 failed$"):
+        compress(suite.base, suite.tuned, suite.calib, PipelineConfig(seed=4, n_candidates=3))
+    assert _pids(log) == [os.getpid()] * 2
+
+
 def test_eval_pack_reports_reasonable_error():
     suite = _small_suite()
     config = _fast_config()
