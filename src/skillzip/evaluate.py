@@ -5,7 +5,7 @@ against X @ delta, relative to the signal norm (epsilon-guarded so a zero
 delta scores zero). The aggregate weights layers by squared signal norm so
 tiny layers cannot dominate. Baseline compressors (plain truncated SVD in
 float, 1-bit sign+scale) produce the same report schema, so methods are
-directly comparable; new method names can be registered.
+directly comparable.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def _bitdelta_layer(delta: np.ndarray, config: PipelineConfig) -> tuple[np.ndarr
     return bitdelta_dequantize(signs, scale), min(delta.shape), (delta.size + 7) // 8 + 4
 
 
-def _float_baseline(method, layer_fn, base, tuned_one, calib, deltas, eval_x, config) -> FidelityReport:
+def _float_baseline(method, layer_fn, deltas, eval_x, config) -> FidelityReport:
     """Score a float approximation of each layer's delta.
 
     `layer_fn(delta, config)` returns (approximate delta, rank, stored bytes);
@@ -179,19 +179,7 @@ def _float_baseline(method, layer_fn, base, tuned_one, calib, deltas, eval_x, co
     return _score(FidelityReport(method, compression_ratio=ratio), deltas, eval_x, forwards)
 
 
-def _skillzip_baseline(base, tuned_one, calib, deltas, eval_x, config) -> FidelityReport:
-    """The full pipeline on a single task (merging is a no-op for K=1)."""
-    result = compress(base, {"baseline": tuned_one}, calib, config)
-    return eval_pack(result.packs["baseline"], deltas, eval_x)
-
-
-# Method name -> callable(base, tuned_one, calib, deltas, eval_x, config) -> report.
-# "asvd" is reserved: activation-weighted SVD is a known future method.
-BASELINES = {
-    "svd-fp": partial(_float_baseline, "svd-fp", _svd_fp_layer),
-    "bitdelta": partial(_float_baseline, "bitdelta", _bitdelta_layer),
-    "skillzip": _skillzip_baseline,
-}
+BASELINES = ("bitdelta", "skillzip", "svd-fp")
 
 
 def run_baseline(
@@ -202,14 +190,18 @@ def run_baseline(
     eval_x: dict[str, np.ndarray],
     config: PipelineConfig,
 ) -> FidelityReport:
-    """Score one method on one tuned set; inputs are checked before it runs."""
+    """Score one method on one tuned set; inputs are checked before it runs.
+    "skillzip" is the full pipeline on a single task (merging is a no-op
+    for K=1)."""
     if method not in BASELINES:
-        raise ValidationError(f"unknown method {method!r}; available: {', '.join(sorted(BASELINES))}")
+        raise ValidationError(f"unknown method {method!r}; available: {', '.join(BASELINES)}")
     if not base:
         raise ValidationError("a baseline needs at least one layer")
     deltas = extract_delta(base, tuned_one, "baseline").layers
     _check_layers({n: d.shape for n, d in deltas.items()}, deltas, eval_x)
-    return BASELINES[method](base, tuned_one, calib, deltas, eval_x, config)
+    if method == "skillzip":
+        return eval_pack(compress(base, {"baseline": tuned_one}, calib, config).packs["baseline"], deltas, eval_x)
+    return _float_baseline(method, _svd_fp_layer if method == "svd-fp" else _bitdelta_layer, deltas, eval_x, config)
 
 
 # ---------------------------------------------------------------------------

@@ -1,30 +1,30 @@
 """End-to-end compression: deltas in, backbone plus skillpacks out.
 
-The config is checked when it is built, and the task ids, the finiteness
-of every input array and the calibration shapes before any compute. Per
-task and per layer the stages are: channel-wise smoothing of the delta by
-its layer's calibration `profile`, truncated SVD with the square-root
-energy split, rotation selection over seeded orthogonal candidates,
-quantization of both factors (optionally with GPTQ refinement of the
-output factor), and mid-scale calibration. Before any of that, the shared
-component across tasks is merged into the backbone and subtracted from
-each delta. Every stage can be toggled off independently, which is what
-the ablation harness exercises.
+The config is checked when it is built, and the task ids, the rank and
+finiteness of every input array and the calibration shapes before any
+compute. Per task and per layer the stages are: channel-wise smoothing of
+the delta by its layer's calibration `profile`, truncated SVD with the
+square-root energy split, rotation selection over seeded orthogonal
+candidates, quantization of both factors (optionally with GPTQ refinement
+of the output factor), and mid-scale calibration. Before any of that, the
+shared component across tasks is merged into the backbone and subtracted
+from each delta. Every stage can be toggled off independently, which is
+what the ablation harness exercises.
 
-Every layer is smoothed first, here. Each (task, layer) is then one job:
-truncated SVD, square-root split, rotation search and fold. Their results
-are taken in (task, layer) order from one lazy map: a fork pool's, of
-min(jobs, usable CPUs) workers, when there are two or more jobs, two or
-more CPUs in `os.sched_getaffinity`, a process allowed to start children
-and a loaded OpenBLAS whose thread count can be set; else the builtin. A
-job's package error, a worker's included, is raised where its result is
-taken, so the first failing job in order raises and, here, no later job
-runs. While the pool is open this process holds OpenBLAS at one thread, a
-setting the workers inherit, so no worker starts a helper thread that
-spins beside the others. Quantization, GPTQ and mid-scale calibration then
-run here, in (task, layer) order at the restored thread count. The pool
-closes before `compress` returns, and the results are the same bits either
-way.
+Each (task, layer) is one job: its residual, its smoothing factors (from
+`compute_smooth`, here) and its raw held calibration rows. The job smooths
+both, runs truncated SVD, square-root split, rotation search and fold, and
+prefixes any package error with its task and layer. The jobs run in a fork
+pool of min(jobs, usable CPUs) workers when there are two or more jobs,
+two or more CPUs in `os.sched_getaffinity`, a process allowed to start
+children and a loaded OpenBLAS whose thread count can be set; else here,
+where no job after the first failing one runs. Either way the first
+failing job in (task, layer) order raises, and a worker that dies raises
+ChildProcessError. While the pool is open this process holds OpenBLAS at
+one thread, which the workers inherit, so no worker starts a helper thread
+that spins beside the others. Quantization, GPTQ and mid-scale
+calibration then run here, in (task, layer) order at the restored thread
+count. The results are the same bits either way.
 
 All randomness flows from one master seed through labeled child streams
 (`task/layer` labels), so runs are reproducible and independent of task
@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -187,46 +187,51 @@ def _blas_threads():
 
 
 def _factor(job):
-    """One smoothed layer through SVD -> split -> rotation search -> fold:
-    (a, b, rotation_index). Also the pool worker entry: it calls this
+    """One (task, layer) job: smooth, SVD -> split -> rotation search ->
+    fold, giving (a, b, rotation_index), with any package error prefixed by
+    the job's task and layer. Also the pool worker entry: it calls this
     module's `truncated_svd`, `split_factors`, `select_rotation` and
     `fold_rotation` by name, so a patched attribute (a tracer's wrapper, a
-    test's spy) is what runs in the forked worker, and it is never pickled."""
-    w_s, policy, held, config, rng = job
-    a, b = split_factors(truncated_svd(w_s, policy))
-    if not (config.toggles.rotate and a.shape[1] > 1):
-        return a, b, 0
-    choice = select_rotation(a, b, held, config.quant, rng, config.n_candidates)
-    if choice.candidate_index != 0:
-        a, b = fold_rotation(a, b, choice.q)
-    return a, b, choice.candidate_index
+    test's spy) runs in the forked worker and is never pickled."""
+    task_id, name, residual, s, held, config, rng = job
+    with _blame(task_id, name):
+        held, w_s = apply_smooth(held, residual, s)
+        a, b = split_factors(truncated_svd(w_s, config.rank_policy(min(w_s.shape))))
+        if not (config.toggles.rotate and a.shape[1] > 1):
+            return a, b, 0
+        choice = select_rotation(a, b, held, config.quant, rng, config.n_candidates)
+        if choice.candidate_index != 0:
+            a, b = fold_rotation(a, b, choice.q)
+        return a, b, choice.candidate_index
 
 
-def _factor_all(keys: list[tuple[str, str]], jobs: list[tuple]) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """`_factor` of every job, in job order, from one lazy map: the fork
-    pool's when the module notes allow one, else the builtin. The first
-    failing job in order raises, prefixed with its (task, layer) key. Fork,
-    not spawn: two spawned workers import numpy and skillzip afresh, ~0.4 s."""
+def _factor_all(jobs: list[tuple]) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """`_factor` of every job, in job order, in the fork pool that the module
+    notes describe or else here. A worker that dies raises ChildProcessError,
+    prefixed with the first job whose result it lost. Fork, not spawn: two
+    spawned workers import numpy and skillzip afresh, ~0.4 s."""
     import multiprocessing
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     pooled = len(jobs) > 1 and cpus > 1 and not multiprocessing.current_process().daemon
     blas = _blas_threads() if pooled else None
-    out = []
-    with ExitStack() as stack:
-        results = map(_factor, jobs)  # lazy: nothing after the first failure runs
-        if blas:
-            from concurrent.futures import ProcessPoolExecutor
+    if not blas:
+        return list(map(_factor, jobs))
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-            get, put = blas
-            stack.callback(put, get())  # on every exit, once the pool has shut down
-            put(1)  # inherited by the workers: each runs its GEMMs itself and starts no spinning helper thread
-            pool = ProcessPoolExecutor(min(len(jobs), cpus), mp_context=multiprocessing.get_context("fork"))
-            results = stack.enter_context(pool).map(_factor, jobs)
-        for key in keys:
-            with _blame(*key):  # a worker's error is re-raised here, at its job's position
-                out.append(next(results))
-    return out
+    get, put = blas
+    threads = get()
+    put(1)  # inherited by the workers: each runs its GEMMs itself and starts no spinning helper thread
+    results = []
+    try:
+        with ProcessPoolExecutor(min(len(jobs), cpus), mp_context=multiprocessing.get_context("fork")) as pool:
+            results.extend(pool.map(_factor, jobs))  # a worker's error is re-raised at its job's position
+    except BrokenProcessPool as exc:
+        task_id, name = jobs[len(results)][:2]  # extend keeps the results taken before the failure
+        raise ChildProcessError(f"task {task_id!r} layer {name!r}: {exc}") from exc
+    finally:
+        put(threads)  # after the pool has shut down
+    return results
 
 
 def compress(
@@ -246,9 +251,13 @@ def compress(
     for task_id, weights in tuned.items():
         check_name(task_id, MAX_TASK_ID_BYTES, "task id")
         for layer_name, w in weights.items():
+            if w.ndim != 2:
+                raise ShapeError(f"task {task_id!r} layer {layer_name!r}: weights are {w.shape}, not 2-D")
             if not np.isfinite(w).all():
                 raise ValidationError(f"task {task_id!r} layer {layer_name!r}: weights hold non-finite values")
     for layer_name, w in base.items():
+        if w.ndim != 2:
+            raise ShapeError(f"base layer {layer_name!r} is {w.shape}, not 2-D")
         if not np.isfinite(w).all():
             raise ValidationError(f"base layer {layer_name!r} holds non-finite values")
         if layer_name not in calib:
@@ -273,23 +282,19 @@ def compress(
     mean_abs = profile({name: calib[name] for name in base})
     master = Prng(config.seed)
 
-    residual_layers = {residual.task_id: residual.layers for residual in residuals}
-    keys = [(task_id, name) for task_id, layers in residual_layers.items() for name in sorted(layers)]
-    scales, jobs = [], []
-    for task_id, name in keys:
-        delta, x = residual_layers[task_id][name], calib[name]
-        with _blame(task_id, name):
+    jobs = []
+    for residual in residuals:
+        for name in sorted(residual.layers):
+            delta, x = residual.layers[name], calib[name]
             if config.toggles.smooth:
                 s = compute_smooth(mean_abs[name], delta, config.alpha, config.epsilon)
             else:
                 s = np.ones(delta.shape[0], dtype=np.float32)
-            held, w_s = apply_smooth(x[: max(1, x.shape[0] // 2)], delta, s)  # the rows rotation selection scores on
-            scales.append(s)
-            jobs.append((w_s, config.rank_policy(min(w_s.shape)), held, config, master.spawn(f"{task_id}/{name}")))
-    factored = _factor_all(keys, jobs)
+            held = x[: max(1, x.shape[0] // 2)]  # the rows rotation selection scores on
+            jobs.append((residual.task_id, name, delta, s, held, config, master.spawn(f"{residual.task_id}/{name}")))
 
-    layers: dict[str, dict] = {task_id: {} for task_id in residual_layers}
-    for (task_id, name), s, (a, b, rotation_index) in zip(keys, scales, factored):
+    layers: dict[str, dict] = {residual.task_id: {} for residual in residuals}
+    for (task_id, name, _, s, _, _, _), (a, b, rotation_index) in zip(jobs, _factor_all(jobs)):
         with _blame(task_id, name):
             layers[task_id][name] = compile_layer(
                 name, s, a, b, config.quant, x_calib=calib[name], use_gptq=config.toggles.gptq, rotation_index=rotation_index

@@ -2,6 +2,8 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
+import signal
 import time
 
 import numpy as np
@@ -10,7 +12,8 @@ from dataclasses import replace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skillzip import MergePlan, QuantConfig, ShapeError, ValidationError
+from skillzip import MergePlan, QuantConfig, ShapeError, ValidationError, write_archive
+from skillzip.cli import main
 from skillzip.evaluate import eval_pack, total_delta_error
 from skillzip.fixtures import make_suite
 from skillzip.packio import serialize_skillpack
@@ -168,6 +171,27 @@ def test_non_finite_inputs_rejected_before_any_compute(monkeypatch, where, match
     target["layer1"][1, 2] = value
     with pytest.raises(ValidationError, match=f"^{match.format(second=second)} non-finite values$"):
         compress(base, tuned, calib, _fast_config())
+    assert calls == []
+
+
+@pytest.mark.parametrize("where", ["base", "tuned"])
+@pytest.mark.parametrize("shape", [(48,), (48, 40, 1)], ids=["1-D", "3-D"])
+def test_non_two_d_weights_rejected_before_any_compute(monkeypatch, where, shape):
+    """A base or tuned weight that is not 2-D is refused, naming where it
+    is, before any delta is taken; a 1-D base of C_in values used to pass
+    the calibration check."""
+    import skillzip.pipeline
+
+    calls = []
+    monkeypatch.setattr(skillzip.pipeline, "extract_delta", lambda *a: calls.append(a))
+    suite = _small_suite()
+    base = dict(suite.base)
+    tuned = {task: dict(weights) for task, weights in suite.tuned.items()}
+    second = list(tuned)[1]
+    {"base": base, "tuned": tuned[second]}[where]["layer1"] = np.ones(shape, dtype=np.float32)
+    message = {"base": "base layer 'layer1' is", "tuned": f"task {second!r} layer 'layer1': weights are"}[where]
+    with pytest.raises(ShapeError, match=f"^{re.escape(f'{message} {shape}, not 2-D')}$"):
+        compress(base, tuned, suite.calib, _fast_config())
     assert calls == []
 
 
@@ -367,6 +391,75 @@ def test_in_process_jobs_stop_at_the_first_failure(monkeypatch, tmp_path):
     with pytest.raises(ValidationError, match=f"^task {list(suite.tuned)[0]!r} layer 'layer1': job 1 failed$"):
         compress(suite.base, suite.tuned, suite.calib, PipelineConfig(seed=4, n_candidates=3))
     assert _pids(log) == [os.getpid()] * 2
+
+
+def test_dead_worker_raises_child_process_error_and_exits_3(monkeypatch, tmp_path, capsys):
+    """A worker killed by a signal raises ChildProcessError, prefixed with
+    the first job whose result was lost, and `skillzip compress` exits 3
+    with a one-line error. The BLAS count is restored and no child is left."""
+    import skillzip.lowrank
+    import skillzip.pipeline
+
+    get, put = _blas()
+    parent = os.getpid()
+
+    def spy(w, policy):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return skillzip.lowrank.truncated_svd(w, policy)
+
+    monkeypatch.setattr(skillzip.pipeline, "truncated_svd", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    suite = make_suite(13, **POOL_SUITE)
+    first = list(suite.tuned)[0]
+    paths = {name: tmp_path / f"{name}.ftz" for name in ("base", "calib", *suite.tuned)}
+    for name, entries in {"base": suite.base, "calib": suite.calib, **suite.tuned}.items():
+        write_archive(paths[name], sorted(entries.items()))
+    argv = ["compress", "--base", str(paths["base"]), "--calib", str(paths["calib"]), "--out", str(tmp_path / "packs")]
+    before = get()
+    try:
+        put(2)
+        with pytest.raises(ChildProcessError, match=f"^task {first!r} layer 'layer0': "):
+            _pool_suite_digests()
+        assert get() == 2
+        assert main([*argv, *(arg for task in suite.tuned for arg in ("--tuned", str(paths[task])))]) == 3
+        assert get() == 2
+    finally:
+        put(before)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: task {first!r} layer 'layer0': ") and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def _mixed_suite():
+    """Two 96 x 64 layers and one 128 x 128 layer per task."""
+    suite, wide = make_suite(13, **POOL_SUITE), make_suite(14, **{**POOL_SUITE, "n_layers": 1, "c_in": 128, "c_out": 128})
+    base, calib = {**suite.base, "wide": wide.base["layer0"]}, {**suite.calib, "wide": wide.calib["layer0"]}
+    tuned = {task: {**weights, "wide": wide.tuned[task]["layer0"]} for task, weights in suite.tuned.items()}
+    return base, tuned, calib
+
+
+@pytest.mark.parametrize("rank_mode,rank_value", [("auto", 0.0), ("energy", 0.9)])
+def test_pack_bytes_independent_of_blas_threads_and_placement(monkeypatch, rank_mode, rank_value):
+    """The packs of a suite with exact-path and sketched layers are the same
+    bytes at 1, 2 and 3 OpenBLAS threads, in-process and in the pool."""
+    get, put = _blas()
+    base, tuned, calib = _mixed_suite()
+    config = PipelineConfig(seed=4, n_candidates=3, rank_mode=rank_mode, rank_value=rank_value)
+    digests = []
+    before = get()
+    try:
+        for threads in (1, 2, 3):
+            put(threads)
+            for cpus in ({0}, {0, 1}):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+                result = compress(base, tuned, calib, config)
+                digests.append({t: hashlib.sha256(serialize_skillpack(p)).hexdigest() for t, p in result.packs.items()})
+                assert get() == threads
+    finally:
+        put(before)
+    assert len(digests) == 6 and all(d == digests[0] for d in digests)
+    assert multiprocessing.active_children() == []
 
 
 def test_eval_pack_reports_reasonable_error():
