@@ -120,7 +120,13 @@ def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ValidationError(f"--repeats must be >= 1, got {args.repeats}")
     backbone = _load_archive(args.backbone)
+    if not backbone:
+        raise ValidationError(f"backbone archive {args.backbone} holds no layers")
     packs = [packio.read_skillpack(p) for p in args.pack]
+    task_ids = [p.task_id for p in packs]
+    repeated = sorted({t for t in task_ids if task_ids.count(t) > 1})
+    if repeated:
+        raise ValidationError(f"--pack task ids must be unique; repeated: {', '.join(repeated)}")
     target = args.layer or sorted(backbone.keys())[0]
     registry = routing.SkillRegistry(backbone=backbone, target_layer=target, packs={p.task_id: p for p in packs})
 

@@ -55,6 +55,16 @@ def _check_same_layers(deltas: list[TaskDelta]) -> list[str]:
     return names
 
 
+def _f32(name: str, op, *args) -> np.ndarray:
+    """op(*args) cast to float32; a non-finite result (an overflow past the
+    float32 range) raises ValidationError naming the layer."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = op(*args).astype(np.float32)
+    if not np.isfinite(out).all():
+        raise ValidationError(f"layer {name!r}: values are not finite in float32")
+    return out
+
+
 def extract_delta(base: dict[str, np.ndarray], tuned: dict[str, np.ndarray], task_id: str) -> TaskDelta:
     """Per-layer tuned - base. Entry names and shapes must match exactly."""
     if set(base.keys()) != set(tuned.keys()):
@@ -65,7 +75,7 @@ def extract_delta(base: dict[str, np.ndarray], tuned: dict[str, np.ndarray], tas
         w1 = tuned[name]
         if w0.shape != w1.shape:
             raise ShapeError(f"layer {name!r}: base {w0.shape} vs tuned {w1.shape}")
-        layers[name] = (w1 - w0).astype(np.float32)
+        layers[name] = _f32(name, np.subtract, w1, w0)
     return TaskDelta(task_id, layers)
 
 
@@ -89,7 +99,7 @@ def merge_shared(deltas: list[TaskDelta], plan: MergePlan) -> TaskDelta:
             stack.sort(axis=0)
             kept = stack[drop : k - drop] if drop else stack
             pooled = kept.mean(axis=0)
-        out[n] = (plan.coefficient * pooled).astype(np.float32)
+        out[n] = _f32(n, np.multiply, plan.coefficient, pooled)
     return TaskDelta("shared", out)
 
 
@@ -102,7 +112,7 @@ def recenter(deltas: list[TaskDelta], shared: TaskDelta) -> tuple[TaskDelta, lis
     """
     _check_same_layers([shared, *deltas])
     residuals = [
-        TaskDelta(d.task_id, {n: (d.layers[n] - shared.layers[n]).astype(np.float32) for n in d.layers})
+        TaskDelta(d.task_id, {n: _f32(n, np.subtract, d.layers[n], shared.layers[n]) for n in d.layers})
         for d in deltas
     ]
     return TaskDelta("shared", dict(shared.layers)), residuals
@@ -116,7 +126,7 @@ def apply_delta(base: dict[str, np.ndarray], delta: TaskDelta) -> dict[str, np.n
         if name in delta.layers:
             if delta.layers[name].shape != w.shape:
                 raise ShapeError(f"layer {name!r}: backbone {w.shape} vs delta {delta.layers[name].shape}")
-            out[name] = (w + delta.layers[name]).astype(np.float32)
+            out[name] = _f32(name, np.add, w, delta.layers[name])
         else:
             out[name] = w
     return out

@@ -21,11 +21,14 @@ are the frame shared with FTZ archives (`archive.seal`, `open_frame`,
 `write_atomic`). Layers are written sorted by name, so write -> read ->
 write reproduces the file byte for byte. Each rule is stated once and run
 in both directions: `_LAYER_FIELDS` is the layer record's layout, the
-`Skillpack`, `CompiledSkillLayer` and `QuantGrid` constructors are the
-value rules (ValidationError when built, FormatError when read), and
-`_manifest_layers` is what the sidecar says about the payload. The JSON
-manifest sidecar `<pack>.manifest.json` is human-readable provenance; on
-read its task id and layer entries must equal the ones the payload gives.
+constructors (`Skillpack`, `CompiledSkillLayer`, `QuantConfig`, `QuantGrid`
+with its scale layout, `ScaleDescriptor`) are the value rules
+(ValidationError when built, FormatError when read; the reader itself checks
+only framing: tags, field lengths, the B scale record's bytes, payload and
+smoothing vector sizes), and `_manifest_layers` is what the sidecar says
+about the payload. The JSON manifest sidecar `<pack>.manifest.json` is
+human-readable provenance; the writer derives its layers and ratio from the
+pack, and on read its task id and layer entries must equal the payload's.
 """
 
 from __future__ import annotations
@@ -171,7 +174,6 @@ def _codes_from_payload(data: bytes, bits: int, rows: int, cols: int) -> np.ndar
 
 def _serialize_layer(name: str, layer: CompiledSkillLayer) -> bytes:
     cfg = layer.config
-    b_scales = np.atleast_1d(layer.b_hat.scale.scales.astype("<f4"))
     values = (
         name.encode("utf-8"),
         (layer.c_in, layer.c_out),
@@ -182,7 +184,7 @@ def _serialize_layer(name: str, layer: CompiledSkillLayer) -> bytes:
         _codes_payload(layer.a_hat),
         (float(layer.a_hat.scale.scales),),
         _codes_payload(layer.b_hat),
-        bytes([_GRAN_CODES[layer.b_hat.scale.granularity]]) + b_scales.tobytes(),
+        bytes([_GRAN_CODES[layer.b_hat.scale.granularity]]) + layer.b_hat.scale.scales.astype("<f4").tobytes(),
         (layer.mid_scale,),
         (layer.rotation_index,),
     )
@@ -200,13 +202,13 @@ def serialize_skillpack(pack: Skillpack) -> bytes:
 
 
 def write_skillpack(pack: Skillpack, path: str | os.PathLike) -> None:
-    """Write the container and, when present, the manifest sidecar."""
+    """Write the container and, when the pack has a manifest, a sidecar derived from the pack."""
     sidecar = os.fspath(path) + ".manifest.json"
     with contextlib.suppress(FileNotFoundError):
         os.remove(sidecar)  # first, so not even an interrupted write leaves a stale sidecar
     write_atomic(path, serialize_skillpack(pack))
     if pack.manifest is not None:
-        write_atomic(sidecar, pack.manifest.to_json().encode("utf-8"))
+        write_atomic(sidecar, manifest_for(pack, pack.manifest.provenance).to_json().encode("utf-8"))
 
 
 def _header(cur: Cursor, tag: int) -> int:
@@ -230,25 +232,19 @@ def _parse_layer(payload: memoryview, context: str) -> tuple[str, CompiledSkillL
             raise FormatError(f"{context}: tag {tag:#06x} holds {length} bytes, expected {struct.calcsize(fmt)}")
     cur.end()
     name, (c_in, c_out), (rank,), bits, grans, smooth_raw, a_raw, (a_scale,), b_raw, b_scale_raw, (mid_scale,), (rotation,) = fields
-    if any(code not in _GRAN_NAMES for code in grans):
-        raise FormatError(f"{context}: unknown granularity code")
     if len(smooth_raw) != 4 * c_in:
         raise FormatError(f"{context}: smoothing vector length mismatch")
     if not b_scale_raw or (len(b_scale_raw) - 1) % 4:
         raise FormatError(f"{context}: B scale record must be one byte plus float32 values")
-    if b_scale_raw[0] not in _GRAN_NAMES:
-        raise FormatError(f"{context}: unknown B scale granularity")
-    b_gran = _GRAN_NAMES[b_scale_raw[0]]
     b_values = np.frombuffer(b_scale_raw[1:], dtype="<f4").astype(np.float32)
-    expected = 1 if b_gran == PER_TENSOR else c_out
-    if b_values.size != expected:
-        raise FormatError(f"{context}: expected {expected} B scales, found {b_values.size}")
+    # An unknown code stays itself, for QuantConfig or ScaleDescriptor to refuse.
+    gran_x, gran_b, b_gran = (_GRAN_NAMES.get(code, code) for code in (*grans, b_scale_raw[0]))
 
-    config = QuantConfig(*bits, gran_x=_GRAN_NAMES[grans[0]], gran_b=_GRAN_NAMES[grans[1]])
+    config = QuantConfig(*bits, gran_x=gran_x, gran_b=gran_b)
     a_codes = _codes_from_payload(a_raw, config.bits_a, c_in, rank)
     b_codes = _codes_from_payload(b_raw, config.bits_b, rank, c_out)
     a_hat = QuantGrid(a_codes, config.bits_a, ScaleDescriptor(PER_TENSOR, np.float32(a_scale)))
-    b_hat = QuantGrid(b_codes, config.bits_b, ScaleDescriptor(b_gran, b_values[0] if b_gran == PER_TENSOR else b_values))
+    b_hat = QuantGrid(b_codes, config.bits_b, ScaleDescriptor(b_gran, b_values))
     smooth_inv = np.frombuffer(smooth_raw, dtype="<f4").copy()
     return name, CompiledSkillLayer(name, smooth_inv, a_hat, b_hat, mid_scale, config, rotation)
 

@@ -209,7 +209,11 @@ def _factor_all(jobs: list[tuple]) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """`_factor` of every job, in job order, in the fork pool that the module
     notes describe or else here. A worker that dies raises ChildProcessError,
     prefixed with the first job whose result it lost. Fork, not spawn: two
-    spawned workers import numpy and skillzip afresh, ~0.4 s."""
+    spawned workers import numpy and skillzip afresh, ~0.4 s. The one-thread
+    hold is set here, not in a worker initializer: set in a forked child, it
+    restarts OpenBLAS's thread pool (2-vCPU VM, numpy 2.4.6: the child had 2
+    OS threads, and 20 GEMMs of 400x400 took 0.09-0.13 s CPU in 0.05-0.07 s
+    wall, against 1 thread and 0.047 s CPU and wall with this hold)."""
     import multiprocessing
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -258,6 +262,8 @@ def compress(
     for layer_name, w in base.items():
         if w.ndim != 2:
             raise ShapeError(f"base layer {layer_name!r} is {w.shape}, not 2-D")
+        if config.rank_mode == "fixed" and int(config.rank_value) > min(w.shape):
+            raise ValidationError(f"base layer {layer_name!r}: rank {int(config.rank_value)} exceeds min dimension {min(w.shape)}")
         if not np.isfinite(w).all():
             raise ValidationError(f"base layer {layer_name!r} holds non-finite values")
         if layer_name not in calib:

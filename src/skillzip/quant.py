@@ -58,8 +58,9 @@ def count_clamped(q: np.ndarray, limit: int) -> int:
 class ScaleDescriptor:
     """Quantization scales plus the grouping they apply to.
 
-    `scales` is a scalar-shaped array for per-tensor, one value per row for
-    per-token, one per column for per-channel. All values positive, finite.
+    `scales` is a scalar-shaped array for per-tensor (a size-1 array of any
+    shape is stored as shape ()), one value per row for per-token, one per
+    column for per-channel. All values positive, finite.
     """
 
     granularity: str
@@ -71,6 +72,8 @@ class ScaleDescriptor:
         s = np.asarray(self.scales, dtype=np.float32)
         if not np.isfinite(s).all() or (s <= 0).any():
             raise ValidationError("scales must be positive and finite")
+        if self.granularity == PER_TENSOR and s.size == 1:
+            s = s.reshape(())
         object.__setattr__(self, "scales", s)
 
     def row_col_vectors(self, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -104,6 +107,9 @@ class QuantGrid:
         limit = (1 << (self.bits - 1)) - 1
         if np.abs(c.astype(np.int32)).max(initial=0) > limit:
             raise ValidationError(f"codes exceed symmetric {self.bits}-bit range +-{limit}")
+        gran, shape = self.scale.granularity, self.scale.scales.shape
+        if shape != {PER_TENSOR: (), PER_TOKEN: c.shape[:1], PER_CHANNEL: c.shape[1:]}[gran]:
+            raise ValidationError(f"{gran} scales of shape {shape} do not fit {c.shape} codes")
 
 
 @dataclass(frozen=True)
@@ -184,8 +190,7 @@ def quantize_codes(
 def quantize(m: np.ndarray, bits: int, granularity: str) -> QuantGrid:
     """Symmetric static quantization of a finite float32 matrix."""
     codes, scales = quantize_codes(m, bits, granularity, None)
-    scales = scales.reshape(-1) if scales.ndim else scales
-    return QuantGrid(codes.astype(np.int8), bits, ScaleDescriptor(granularity, scales))
+    return QuantGrid(codes.astype(np.int8), bits, ScaleDescriptor(granularity, scales.reshape(-1)))
 
 
 def dequantize(q: QuantGrid) -> np.ndarray:
@@ -208,6 +213,8 @@ def calibration_hessian(m_calib: np.ndarray) -> np.ndarray:
     if m64.ndim != 2 or m64.shape[0] < 1:
         raise ShapeError(f"calibration matrix must be 2-D with T >= 1 rows, got {m64.shape}")
     h = m64.T @ m64 / m64.shape[0]
+    if not np.isfinite(h).all():
+        raise ValidationError("calibration Hessian holds non-finite values")
     mean_diag = float(np.mean(np.diag(h)))
     if mean_diag <= 0:
         mean_diag = 1.0
@@ -225,14 +232,19 @@ def gptq_refine(b_init: QuantGrid, b_fp: np.ndarray, hessian: np.ndarray) -> Qua
     (static), only codes change. With H = I the feedback term vanishes and
     the result equals plain round-to-nearest.
     """
-    b_fp = np.asarray(b_fp, dtype=np.float32)
+    with np.errstate(over="ignore"):  # a value past the float32 range is refused below
+        b_fp = np.asarray(b_fp, dtype=np.float32)
     r, c_out = b_fp.shape
     if b_init.codes.shape != (r, c_out):
         raise ShapeError("b_init and b_fp shapes differ")
     if hessian.shape != (r, r):
         raise ShapeError(f"Hessian must be {r}x{r}, got {hessian.shape}")
+    if not np.isfinite(b_fp).all():
+        raise ValidationError("B holds non-finite values")
 
     h = np.asarray(hessian, dtype=np.float64)
+    if not np.isfinite(h).all():
+        raise ValidationError("Hessian holds non-finite values")
     h = 0.5 * (h + h.T)
     try:  # a singular H fails inv, an indefinite one the Cholesky of H^-1
         h_inv = np.linalg.inv(h)

@@ -544,6 +544,28 @@ def test_bench_repeats_exit_code(tiny_suite, tmp_path, capsys, repeats):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["empty-backbone", "repeated-task-id"])
+def test_bench_input_gaps_exit_code(tiny_suite, tmp_path, capsys, case):
+    """An empty backbone archive, or two --pack files with one task id, is
+    refused before any dispatch: exit 2, no traceback, no outputs."""
+    root = tiny_suite["root"]
+    stream = tmp_path / "s.jsonl"
+    stream.write_text(json.dumps({"task": "math", "x": [[0.0] * 16]}) + "\n")
+    out = tmp_path / "outputs.ftz"
+    if case == "empty-backbone":
+        write_archive(tmp_path / "empty.ftz", [])
+        argv = ["bench", "--backbone", str(tmp_path / "empty.ftz"), "--pack", str(root / "packs" / "math.skz")]
+        message = "holds no layers"
+    else:
+        os.link(root / "packs" / "math.skz", tmp_path / "again.skz")
+        argv = tiny_suite["bench"] + ["--pack", str(tmp_path / "again.skz")]
+        message = "repeated: math"
+    assert main(argv + ["--stream", str(stream), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gen_synth_zero_tokens_exit_code(tmp_path, capsys):
     """The FTZ writer refuses the 0-row calibration archive that every later
     command would reject, and gen-synth checks every archive before it

@@ -143,3 +143,19 @@ def test_apply_delta_folds_into_backbone():
     shared = TaskDelta("s", {"w": np.full((2, 2), 0.25, dtype=np.float32)})
     out = apply_delta(base, shared)
     assert np.allclose(out["w"], 1.25)
+
+
+def test_float32_overflow_refused_naming_the_layer():
+    """Finite inputs whose float32 result overflows are refused by each step,
+    naming the layer, without a numpy RuntimeWarning."""
+    lo, hi = np.full((2, 2), -3e38, dtype=np.float32), np.full((2, 2), 3e38, dtype=np.float32)
+    big = TaskDelta("a", {"w": hi})
+    steps = [
+        lambda: extract_delta({"w": lo}, {"w": hi}, "t"),
+        lambda: merge_shared([big, TaskDelta("b", {"w": hi})], MergePlan(coefficient=2.0)),
+        lambda: recenter([big], TaskDelta("s", {"w": lo})),
+        lambda: apply_delta({"w": hi}, big),
+    ]
+    for step in steps:
+        with pytest.raises(ValidationError, match="^layer 'w': values are not finite in float32$"):
+            step()

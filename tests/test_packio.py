@@ -403,3 +403,53 @@ def test_pack_refuses_exactly_what_the_reader_refuses(tmp_path_factory, task_id,
     if written is not None:
         assert written == path.read_bytes()
         assert (read.task_id, sorted(read.layers)) == (task_id, sorted(layers))
+
+
+_C_OUT = 10  # the crafted pack's B columns
+# (GRANS codes, B scale record's code, B scale count); code 7 is unknown.
+_SCALE_LAYOUTS = [((1, code), code, n) for code in (0, 2) for n in (0, 1, _C_OUT - 1, _C_OUT, _C_OUT + 1)] + [
+    ((7, 2), 2, _C_OUT), ((1, 7), 2, _C_OUT), ((1, 2), 7, _C_OUT), ((1, 2), 1, _C_OUT), ((0, 0), 0, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "grans, b_code, count", _SCALE_LAYOUTS, ids=[f"grans{x}{b}-b{code}-n{n}" for (x, b), code, n in _SCALE_LAYOUTS]
+)
+def test_scale_layouts_refused_when_built_exactly_when_read(tmp_path, grans, b_code, count):
+    """Granularity codes and B scale counts: the constructors refuse a layout
+    exactly when the reader does, and a layout both accept is the same bytes."""
+    values = np.linspace(0.5, 1.5, count, dtype=np.float32)
+    path = _crafted_pack(tmp_path / "s.skz", {
+        packio._TAG_GRANS: bytes(grans),
+        packio._TAG_B_SCALES: bytes([b_code]) + values.astype("<f4").tobytes(),
+    })
+    gran = lambda code: packio._GRAN_NAMES.get(code, code)  # noqa: E731
+    good = _layer(Prng(210))
+    try:
+        config = QuantConfig(gran_x=gran(grans[0]), gran_b=gran(grans[1]))
+        b_hat = QuantGrid(good.b_hat.codes, 8, ScaleDescriptor(gran(b_code), values))
+        layer = CompiledSkillLayer("layer0", good.smooth_inv, good.a_hat, b_hat, good.mid_scale, config, good.rotation_index)
+        written = serialize_skillpack(Skillpack("math", {"layer0": layer}))
+    except ValidationError:
+        written = None
+    try:
+        read_skillpack(path)
+        read = path.read_bytes()
+    except FormatError:
+        read = None
+    assert written == read
+
+
+def test_sidecar_is_derived_from_the_payload_when_written(tmp_path):
+    """A layer changed after `manifest_for` still writes a sidecar that its
+    reader accepts: the layer entries and ratio come from the payload, the
+    provenance from the stored manifest."""
+    pack = Skillpack("t", {"layer0": _layer(Prng(215))})
+    pack.manifest = manifest_for(pack, provenance={"seed": 7})
+    pack.layers["layer0"] = _layer(Prng(216), rank=2, bits=(8, 4, 4), gran_b="per-tensor")
+    path = tmp_path / "m.skz"
+    write_skillpack(pack, path)
+    back = read_skillpack(path)
+    assert back.manifest.layers == packio._manifest_layers(pack)
+    assert back.manifest.compression_ratio == compression_ratio(pack)
+    assert back.manifest.provenance == {"seed": 7}

@@ -195,6 +195,31 @@ def test_non_two_d_weights_rejected_before_any_compute(monkeypatch, where, shape
     assert calls == []
 
 
+def test_fixed_rank_above_a_layer_side_rejected_before_any_compute(monkeypatch):
+    """A fixed rank above a layer's smaller side is refused, naming the
+    layer, before any delta is taken."""
+    import skillzip.pipeline
+
+    calls = []
+    monkeypatch.setattr(skillzip.pipeline, "extract_delta", lambda *a: calls.append(a))
+    suite = _small_suite()
+    with pytest.raises(ValidationError, match="^base layer 'layer0': rank 41 exceeds min dimension 40$"):
+        compress(suite.base, suite.tuned, suite.calib, _fast_config(rank_value=41))
+    assert calls == []
+
+
+@pytest.mark.parametrize("where", ["tuned", "merge"])
+def test_float32_overflow_in_deltas_raises_validation_error(where):
+    """Finite weights whose delta, or merged delta, overflows float32 are
+    refused naming the layer, not carried on to a late smoothing error."""
+    ones = np.ones((8, 8), dtype=np.float32)
+    base = {"l": -3e38 * ones if where == "tuned" else 0 * ones}
+    tuned = {"a": {"l": 3e38 * ones}, "b": {"l": 3e38 * ones}}
+    config = PipelineConfig(merge_plan=MergePlan(coefficient=2.0 if where == "merge" else 1.0))
+    with pytest.raises(ValidationError, match="^layer 'l': values are not finite in float32$"):
+        compress(base, tuned, {"l": ones[:4]}, config)
+
+
 # Four exact-path layers (auto rank 8 on 96 x 64); the digests are the
 # in-process packs'.
 POOL_SUITE = dict(n_tasks=2, n_layers=2, c_in=96, c_out=64, calib_tokens=24, eval_tokens=8)
@@ -428,6 +453,32 @@ def test_dead_worker_raises_child_process_error_and_exits_3(monkeypatch, tmp_pat
         put(before)
     err = capsys.readouterr().err
     assert err.startswith(f"error: task {first!r} layer 'layer0': ") and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupt_during_the_pool_propagates_and_cleans_up(monkeypatch):
+    """A KeyboardInterrupt while the pool's results are taken propagates as
+    itself; the BLAS count is restored and no child is left."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    get, put = _blas()
+    real_map = ProcessPoolExecutor.map
+
+    def interrupted(self, fn, *iterables, **kwargs):
+        results = real_map(self, fn, *iterables, **kwargs)
+        yield next(results)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ProcessPoolExecutor, "map", interrupted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    before = get()
+    try:
+        put(2)
+        with pytest.raises(KeyboardInterrupt):
+            _pool_suite_digests()
+        assert get() == 2
+    finally:
+        put(before)
     assert multiprocessing.active_children() == []
 
 

@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skillzip import (
+    QuantGrid,
+    ScaleDescriptor,
     ShapeError,
     ValidationError,
     bitdelta_compress,
@@ -184,6 +188,21 @@ def test_gptq_shape_checks():
         gptq_refine(rtn, b, np.eye(4))
 
 
+def test_gptq_rejects_non_finite_inputs():
+    """A NaN Hessian, an inf B (or a float64 one past the float32 range) and
+    a NaN calibration matrix are refused before the loop, not cast into
+    codes or warned about."""
+    b = np.ones((3, 4), dtype=np.float32)
+    rtn = quantize(b, 8, "per-channel")
+    with pytest.raises(ValidationError, match="^Hessian holds non-finite values$"):
+        gptq_refine(rtn, b, np.full((3, 3), np.nan))
+    for b_fp in (np.where(b > 0, np.inf, b), np.full((3, 4), 1e39)):
+        with pytest.raises(ValidationError, match="^B holds non-finite values$"):
+            gptq_refine(rtn, b_fp, np.eye(3))
+    with pytest.raises(ValidationError, match="^calibration Hessian holds non-finite values$"):
+        calibration_hessian(np.full((3, 3), np.nan))
+
+
 def test_gptq_beats_rtn_on_correlated_calibration():
     """On calibration data with a correlated Hessian, error feedback should
     reduce the calibration-set reconstruction error most of the time."""
@@ -232,3 +251,24 @@ def test_calibration_hessian_spd_and_damped():
     assert np.allclose(h, h.T)
     eigvals = np.linalg.eigvalsh(h)
     assert eigvals.min() > 0
+
+
+@pytest.mark.parametrize(
+    "gran, count, fits",
+    [
+        ("per-tensor", 1, True), ("per-tensor", 3, False), ("per-tensor", 0, False),
+        ("per-token", 3, True), ("per-token", 6, False),
+        ("per-channel", 6, True), ("per-channel", 5, False), ("per-channel", 7, False), ("per-channel", 3, False),
+    ],
+)
+def test_grid_refuses_a_scale_count_that_does_not_fit_its_codes(gran, count, fits):
+    """One scale per tensor, one per row per token, one per column per
+    channel; a size-1 per-tensor scale of any shape is stored as shape ()."""
+    codes = np.ones((3, 6), dtype=np.int8)
+    desc = ScaleDescriptor(gran, np.full(count, 0.5, dtype=np.float32))
+    if fits:
+        assert QuantGrid(codes, 8, desc).scale.scales.shape == ((count,) if gran != "per-tensor" else ())
+    else:
+        with pytest.raises(ValidationError, match=re.escape(f"{gran} scales of shape ({count},) do not fit (3, 6) codes")):
+            QuantGrid(codes, 8, desc)
+    assert ScaleDescriptor("per-tensor", np.ones((1, 1), dtype=np.float32)).scales.shape == ()
