@@ -59,7 +59,7 @@ def _f32(name: str, op, *args) -> np.ndarray:
     """op(*args) cast to float32; a non-finite result (an overflow past the
     float32 range) raises ValidationError naming the layer."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = op(*args).astype(np.float32)
+        out = op(*args).astype(np.float32, copy=False)  # float32 inputs give float32: no second copy
     if not np.isfinite(out).all():
         raise ValidationError(f"layer {name!r}: values are not finite in float32")
     return out
@@ -88,17 +88,19 @@ def merge_shared(deltas: list[TaskDelta], plan: MergePlan) -> TaskDelta:
     if len(deltas) < 2:
         raise ValidationError("merging needs at least two task deltas")
     names = _check_same_layers(deltas)
-    k = len(deltas)
+    k, drop = len(deltas), int(np.floor(plan.tau * len(deltas)))
     out: dict[str, np.ndarray] = {}
     for n in names:
-        stack = np.stack([d.layers[n] for d in deltas]).astype(np.float64)
-        if plan.method == "mean":
-            pooled = stack.mean(axis=0)
-        else:
-            drop = int(np.floor(plan.tau * k))
-            stack.sort(axis=0)
-            kept = stack[drop : k - drop] if drop else stack
-            pooled = kept.mean(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # +inf and -inf pool to NaN, which _f32 refuses
+            if plan.method == "mean":  # numpy's axis-0 mean, in its order, with no (k, m, n) stack
+                pooled = deltas[0].layers[n].astype(np.float64)
+                for d in deltas[1:]:
+                    pooled += d.layers[n]
+                pooled /= k
+            else:
+                stack = np.stack([d.layers[n] for d in deltas]).astype(np.float64)
+                stack.sort(axis=0)
+                pooled = stack[drop : k - drop].mean(axis=0)
         out[n] = _f32(n, np.multiply, plan.coefficient, pooled)
     return TaskDelta("shared", out)
 

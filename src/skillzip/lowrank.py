@@ -250,6 +250,11 @@ def _sketch_test_matrix(m: int, n: int, k: int) -> np.ndarray:
     return omega
 
 
+def _sketch_width(m: int, n: int, r: int) -> int:
+    """Columns of the sketch of an (m, n) matrix at rank r."""
+    return min(m, n, r + _SKETCH_OVERSAMPLE)
+
+
 def _sketched_svd(w: np.ndarray, r: int):
     """Randomized range finder + exact Jacobi on the projected matrix.
 
@@ -260,7 +265,7 @@ def _sketched_svd(w: np.ndarray, r: int):
     caller keeps the first r.
     """
     m, n = w.shape
-    k = min(min(m, n), r + _SKETCH_OVERSAMPLE)
+    k = _sketch_width(m, n, r)
     w64 = w.astype(np.float64)
     q = _orth_columns(w64 @ _sketch_test_matrix(m, n, k))
     for _ in range(_SKETCH_POWER_ITERS):
@@ -279,6 +284,15 @@ def exact_path(shape: tuple[int, ...], policy: RankPolicy) -> bool:
     policy with the exact Jacobi SVD rather than the sketched one."""
     min_dim = min(shape)
     return policy.mode != "fixed" or min_dim < _SKETCH_MIN_DIM or int(policy.value) > min_dim // 4
+
+
+def prepare(shape: tuple[int, int], policy: RankPolicy) -> None:
+    """Build the tables a sketched `truncated_svd` of this shape and policy
+    reads (test matrix, jump matrices, Jacobi schedule); exact: nothing."""
+    if not exact_path(shape, policy):
+        k = _sketch_width(*shape, int(policy.value))
+        _sketch_test_matrix(*shape, k)
+        _round_robin_rounds(k)
 
 
 def truncated_svd(w: np.ndarray, policy: RankPolicy) -> SvdResult:

@@ -17,14 +17,14 @@ both, runs truncated SVD, square-root split, rotation search and fold, and
 prefixes any package error with its task and layer. The jobs run in a fork
 pool of min(jobs, usable CPUs) workers when there are two or more jobs,
 two or more CPUs in `os.sched_getaffinity`, a process allowed to start
-children and a loaded OpenBLAS whose thread count can be set; else here,
-where no job after the first failing one runs. Either way the first
-failing job in (task, layer) order raises, and a worker that dies raises
-ChildProcessError. While the pool is open this process holds OpenBLAS at
-one thread, which the workers inherit, so no worker starts a helper thread
-that spins beside the others. Quantization, GPTQ and mid-scale
-calibration then run here, in (task, layer) order at the restored thread
-count. The results are the same bits either way.
+children and a loaded OpenBLAS whose thread count can be set; else here.
+The workers inherit the sketched SVD's shape-only tables (`lowrank.prepare`)
+and the one-thread OpenBLAS hold set here before the fork, so none starts a
+helper thread that spins beside the others. Quantization, GPTQ and mid-scale
+calibration (`compile_layer`) run here in (task, layer) order, each job's
+as its factors arrive. The first (task, layer) in order whose factoring or
+compile fails raises, nothing after it is compiled, and a worker that dies
+raises ChildProcessError. The results are the same bits either way.
 
 All randomness flows from one master seed through labeled child streams
 (`task/layer` labels), so runs are reproducible and independent of task
@@ -45,7 +45,7 @@ from .archive import check_name
 from .deltas import MergePlan, TaskDelta, apply_delta, extract_delta, merge_shared, recenter
 from .errors import ShapeError, SkillzipError, ValidationError
 from .kernel import compile_layer
-from .lowrank import RankPolicy, split_factors, truncated_svd
+from .lowrank import RankPolicy, prepare, split_factors, truncated_svd
 from .packio import MAX_TASK_ID_BYTES, Skillpack, manifest_for
 from .prng import Prng
 from .quant import QuantConfig
@@ -205,37 +205,42 @@ def _factor(job):
         return a, b, choice.candidate_index
 
 
-def _factor_all(jobs: list[tuple]) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """`_factor` of every job, in job order, in the fork pool that the module
-    notes describe or else here. A worker that dies raises ChildProcessError,
-    prefixed with the first job whose result it lost. Fork, not spawn: two
-    spawned workers import numpy and skillzip afresh, ~0.4 s. The one-thread
-    hold is set here, not in a worker initializer: set in a forked child, it
-    restarts OpenBLAS's thread pool (2-vCPU VM, numpy 2.4.6: the child had 2
-    OS threads, and 20 GEMMs of 400x400 took 0.09-0.13 s CPU in 0.05-0.07 s
-    wall, against 1 thread and 0.047 s CPU and wall with this hold)."""
+def _factor_all(jobs: list[tuple], finish) -> None:
+    """`finish(job, _factor(job))` here for each job in job order, as its
+    result arrives from the fork pool of the module notes or else job by job.
+    A worker that dies raises ChildProcessError, prefixed with the first job
+    whose result it lost. Fork, not spawn: two spawned workers import numpy
+    and skillzip afresh, ~0.4 s. The one-thread hold is set here, not in a
+    worker initializer, where it restarts OpenBLAS's thread pool (2-vCPU VM,
+    numpy 2.4.6: 20 GEMMs of 400x400 in a child with 2 OS threads took 0.09-
+    0.13 s CPU in 0.05-0.07 s wall; with this hold, 0.047 s CPU and wall)."""
     import multiprocessing
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     pooled = len(jobs) > 1 and cpus > 1 and not multiprocessing.current_process().daemon
     blas = _blas_threads() if pooled else None
     if not blas:
-        return list(map(_factor, jobs))
+        for job in jobs:
+            finish(job, _factor(job))
+        return
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
+    for shape, policy in {(job[2].shape, job[5].rank_policy(min(job[2].shape))) for job in jobs}:
+        prepare(shape, policy)
     get, put = blas
     threads = get()
     put(1)  # inherited by the workers: each runs its GEMMs itself and starts no spinning helper thread
-    results = []
+    done = 0
     try:
         with ProcessPoolExecutor(min(len(jobs), cpus), mp_context=multiprocessing.get_context("fork")) as pool:
-            results.extend(pool.map(_factor, jobs))  # a worker's error is re-raised at its job's position
+            for job, result in zip(jobs, pool.map(_factor, jobs)):  # a worker's error is re-raised at its job
+                finish(job, result)
+                done += 1
     except BrokenProcessPool as exc:
-        task_id, name = jobs[len(results)][:2]  # extend keeps the results taken before the failure
+        task_id, name = jobs[done][:2]
         raise ChildProcessError(f"task {task_id!r} layer {name!r}: {exc}") from exc
     finally:
         put(threads)  # after the pool has shut down
-    return results
 
 
 def compress(
@@ -300,11 +305,14 @@ def compress(
             jobs.append((residual.task_id, name, delta, s, held, config, master.spawn(f"{residual.task_id}/{name}")))
 
     layers: dict[str, dict] = {residual.task_id: {} for residual in residuals}
-    for (task_id, name, _, s, _, _, _), (a, b, rotation_index) in zip(jobs, _factor_all(jobs)):
+    def finish(job, result):
+        (task_id, name, _, s, _, _, _), (a, b, rotation_index) = job, result
         with _blame(task_id, name):
             layers[task_id][name] = compile_layer(
                 name, s, a, b, config.quant, x_calib=calib[name], use_gptq=config.toggles.gptq, rotation_index=rotation_index
             )
+
+    _factor_all(jobs, finish)
     packs: dict[str, Skillpack] = {}
     for task_id, task_layers in layers.items():
         pack = Skillpack(task_id=task_id, layers=task_layers)

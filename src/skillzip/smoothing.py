@@ -17,9 +17,9 @@ in the pool, so a selected rotation can never score worse than no rotation.
 A layer's candidates are drawn in lockstep: candidate k reads the k-th
 block of r^2 Gaussians of the layer's stream, a chunk of candidates takes
 one block of draws, and one modified Gram-Schmidt runs over the (count, r,
-r) stack, each projection step one stacked vector-vector `np.matmul` (one
-strided BLAS ddot per candidate, the same call a lone candidate's
-`ndarray.dot` makes) and one elementwise multiply and subtract, so every
+r) stack, each projection a stacked vector-vector `np.matmul` (one strided
+BLAS ddot per candidate and column, the same call a lone candidate's
+`ndarray.dot` makes) and an elementwise multiply and subtract, so every
 rotation is bit-identical to drawing it alone. A candidate whose draws are
 not full rank is never used.
 """
@@ -75,7 +75,8 @@ def compute_smooth(
     check_smooth_params(alpha, epsilon)
     if w.ndim != 2 or w.shape[0] != mean_abs.size:
         raise ShapeError(f"weight {w.shape} is not 2-D with the stats' {mean_abs.size} input channels")
-    row_peak = np.maximum(np.max(np.abs(w.astype(np.float64)), axis=1), epsilon)
+    peak = np.max(np.abs(w, dtype=np.result_type(w.dtype, np.float32)), axis=1)  # exact, as is its widening
+    row_peak = np.maximum(peak.astype(np.float64), epsilon)
     s = np.maximum(mean_abs, 0.0) ** alpha / row_peak ** (1.0 - alpha)
     return np.maximum(s, epsilon).astype(np.float32)
 
@@ -101,13 +102,13 @@ def _gram_schmidt(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     leading non-negligible entry is made positive so the same seed gives
     the same matrix everywhere. A candidate with a column of residual norm
     <= 1e-8 is not full rank; that norm is taken as 1 to keep it finite.
+    The first pass is right-looking and overwrites w: same ddots, same order.
     """
     count, r, _ = w.shape
     q = np.empty((count, r, r))
     col = np.empty((count, r))
     proj = np.empty((count, r))
     dot = np.empty((count, 1, 1))
-    norms = np.empty(count)
     full = np.ones(count, dtype=bool)
     matmul, multiply, subtract = np.matmul, np.multiply, np.subtract
     for j in range(r):
@@ -115,14 +116,12 @@ def _gram_schmidt(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # One strided ddot per candidate: q[k, :, i] keeps the stride
         # r*8 of a lone basis column. A contiguous copy of it, einsum
         # or a sum reduction would add in another order.
-        for _ in range(2):  # MGS with reorthogonalization
-            for i in range(j):
-                qi = q[:, :, i]
-                matmul(qi[:, None, :], col[:, :, None], out=dot)
-                multiply(qi, dot[:, 0], out=proj)
-                subtract(col, proj, out=col)
-        for k in range(count):
-            norms[k] = np.linalg.norm(col[k])
+        for i in range(j):  # the reorthogonalization pass, left-looking
+            qi = q[:, :, i]
+            matmul(qi[:, None, :], col[:, :, None], out=dot)
+            multiply(qi, dot[:, 0], out=proj)
+            subtract(col, proj, out=col)
+        norms = np.sqrt(matmul(col[:, None, :], col[:, :, None]).reshape(count))  # each np.linalg.norm's ddot
         degenerate = norms <= 1e-8
         if degenerate.any():
             full[degenerate] = False
@@ -132,6 +131,8 @@ def _gram_schmidt(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lead = np.argmax(np.abs(col) > 1e-12 * peak, axis=1)
         np.negative(col, out=col, where=col[np.arange(count), lead][:, None] < 0)
         q[:, :, j] = col
+        qj, rest = q[:, :, j], w[:, j + 1 :]
+        rest -= qj[:, None, :] * matmul(qj[:, None, None, :], rest[:, :, :, None])[:, :, :, 0]
     return q, full
 
 

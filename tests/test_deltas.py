@@ -159,3 +159,28 @@ def test_float32_overflow_refused_naming_the_layer():
     for step in steps:
         with pytest.raises(ValidationError, match="^layer 'w': values are not finite in float32$"):
             step()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("plan", [MergePlan(), MergePlan(method="trimmed-mean")])
+def test_opposite_infinities_refused_naming_the_layer(plan):
+    """+inf and -inf at one entry pool to NaN, which is refused as not
+    finite, naming the layer, without a numpy RuntimeWarning."""
+    pos, neg = np.full((2, 2), np.inf, dtype=np.float32), np.full((2, 2), -np.inf, dtype=np.float32)
+    with pytest.raises(ValidationError, match="^layer 'w': values are not finite in float32$"):
+        merge_shared([TaskDelta("a", {"w": pos}), TaskDelta("b", {"w": neg})], plan)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("plan", [MergePlan(), MergePlan(coefficient=0.7), MergePlan(method="trimmed-mean", tau=0.25)])
+def test_merge_matches_the_float64_stack_mean_bits(k, plan):
+    """The streamed mean adds in numpy's axis-0 order: the same bits as the
+    mean of a (k, m, n) float64 stack."""
+    rng = Prng(300 + k)
+    deltas = [TaskDelta(f"t{i}", {"w": rng.gauss_matrix(33, 17) * np.float32(10.0 ** (i - 2))}) for i in range(k)]
+    stack = np.stack([d.layers["w"] for d in deltas]).astype(np.float64)
+    if plan.method == "trimmed-mean":
+        stack.sort(axis=0)
+    drop = int(np.floor(plan.tau * k))
+    want = (plan.coefficient * stack[drop : k - drop].mean(axis=0)).astype(np.float32)
+    assert merge_shared(deltas, plan).layers["w"].tobytes() == want.tobytes()

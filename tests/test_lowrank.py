@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import jacobi_reference
 from skillzip import RankPolicy, ShapeError, ValidationError, lowrank, split_factors, truncated_svd
 from skillzip.lowrank import jacobi_svd_full
+from skillzip import prng
 from skillzip.prng import Prng
 from skillzip.tensors import fro_norm
 from svd_reference import power_deflation_svd
@@ -238,6 +239,27 @@ def test_sketch_test_matrix_drawn_once_per_shape():
     assert not omega.flags.writeable and omega.shape == (160, 16) and omega.dtype == np.float64
     with pytest.raises(ValueError):
         omega[0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "shape,policy,sketched",
+    [((200, 144), RankPolicy.fixed(12), True), ((40, 30), RankPolicy.energy(0.9), False), ((30, 40), RankPolicy.fixed(3), False)],
+)
+def test_prepare_builds_every_table_a_sketched_svd_reads(shape, policy, sketched):
+    """After `prepare`, a sketched decomposition of that shape and policy
+    builds no Jacobi schedule, test matrix or jump matrix: a forked worker
+    inherits them all. On the exact path `prepare` builds nothing."""
+    w = Prng(7).gauss_matrix(*shape)
+    caches = (lowrank._round_robin_rounds, lowrank._sketch_test_matrix, prng._jump)
+    for cache in caches:
+        cache.cache_clear()
+    lowrank.prepare(shape, policy)
+    built = [cache.cache_info().misses for cache in caches]
+    assert [n > 0 for n in built] == [sketched] * 3
+    assert lowrank.exact_path(shape, policy) != sketched
+    if sketched:
+        truncated_svd(w, policy)
+        assert [cache.cache_info().misses for cache in caches] == built
 
 
 # ---------------------------------------------------------------------------

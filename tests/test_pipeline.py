@@ -378,7 +378,9 @@ def test_compress_in_a_daemonic_process_stays_in_process(monkeypatch):
 def test_worker_error_keeps_class_prefix_and_order(monkeypatch, tmp_path):
     """A ValidationError raised in a worker surfaces as in-process: same
     class, same task/layer prefix, and the first failing job in order wins
-    even when later ones fail sooner. No worker outlives compress()."""
+    even when later ones fail sooner, also when the first failure is a
+    compile here and the later ones are factorings in the workers. No
+    worker outlives compress()."""
     suite = make_suite(13, **POOL_SUITE)
     config = PipelineConfig(seed=4, n_candidates=3)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
@@ -404,6 +406,18 @@ def test_worker_error_keeps_class_prefix_and_order(monkeypatch, tmp_path):
         assert multiprocessing.active_children() == []
     assert messages == [f"task {list(suite.tuned)[0]!r} layer 'layer1': job 1 failed"] * 2
     assert all(pid != os.getpid() for pid in _pids(log))
+
+    import skillzip.pipeline
+
+    def compile_fails(name, *args, **kwargs):  # job 0's compile, here, as its factors arrive
+        raise ValidationError("compile failed")
+
+    monkeypatch.setattr(skillzip.pipeline, "compile_layer", compile_fails)
+    for cpus in ({0}, {0, 1}):  # an earlier compile failure wins over the later factor failures
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        with pytest.raises(ValidationError, match=f"^task {list(suite.tuned)[0]!r} layer 'layer0': compile failed$"):
+            compress(suite.base, suite.tuned, suite.calib, config)
+        assert multiprocessing.active_children() == []
 
 
 def test_in_process_jobs_stop_at_the_first_failure(monkeypatch, tmp_path):

@@ -13,6 +13,7 @@ from skillzip import (
     sample_rotation,
     select_rotation,
 )
+import gram_schmidt_reference
 from skillzip import smoothing
 from skillzip.prng import Prng
 from skillzip.tensors import fro_norm, matmul
@@ -217,6 +218,22 @@ def test_lockstep_float64_bases_match_oracle(r):
     for k in range(count):
         want = _sample_rotation_per_draw(_ScriptedDraws(w[k].reshape(-1)), r, dtype=np.float64)
         assert got[k].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("count", [1, 3, 10])
+@pytest.mark.parametrize("r", [1, 2, 7, 64])
+def test_gram_schmidt_matches_reference_bits(r, count, seed):
+    """The right-looking first pass gives the frozen left-looking loop's
+    bases and full-rank mask, bit for bit; seed 3 makes one candidate's
+    last column a multiple of its first, so that candidate is not full rank."""
+    w = Prng(980 + seed).gauss_block(count * r * r).reshape(count, r, r)
+    if seed == 3 and r > 1:
+        w[count // 2, r - 1] = 2.0 * w[count // 2, 0]
+    got = smoothing._gram_schmidt(w.copy())
+    want = gram_schmidt_reference.gram_schmidt(w.copy())
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    assert got[1].all() != (seed == 3 and r > 1)
 
 
 @pytest.mark.parametrize("per_chunk", [1, 3, 4])
