@@ -6,7 +6,9 @@ low-rank factors plus the scales needed to run
     y  =  diag(s_a * mid * s_x) . (X_hat A_hat -> int8) B_hat . diag(s_b)
 
 entirely in integers between the outer scale applications. Each stage
-exists once, and calibration and serving run the same ones:
+exists once, and calibration, serving and rotation scoring run the same
+ones (scoring quantizes X once and runs stages 2-5 per candidate; stages
+3-5 are the forward's one tail):
 
     1. activations are smoothed (serving multiplies by the stored 1/s,
        calibration divides by s) and quantized by `quant`'s scale and code
@@ -155,10 +157,16 @@ def forward_quantized(
     if x.ndim != 2 or x.shape[1] != layer.c_in:
         raise ShapeError(f"activations must be T x {layer.c_in}, got {x.shape}")
     acc1, s_x = _smoothed_gemm1(np.asarray(x, np.float32) * layer.smooth_inv, layer.a_hat, layer.config, row_blocks)
-    acc2 = _gemm(requant_mid(acc1, layer.mid_scale, diag), layer.b_hat.codes)
+    return _forward_tail(acc1, s_x, layer.a_hat, layer.b_hat, layer.mid_scale, diag)
 
-    b_scale = layer.b_hat.scale
-    scalar = layer.s_a * layer.mid_scale
+
+def _forward_tail(
+    acc1: np.ndarray, s_x: np.ndarray, a_hat: QuantGrid, b_hat: QuantGrid, mid_scale: float, diag: ForwardDiag | None
+) -> np.ndarray:
+    """The forward after GEMM 1: requant, GEMM 2 and the outer rescale, as float32."""
+    acc2 = _gemm(requant_mid(acc1, mid_scale, diag), b_hat.codes)
+    b_scale = b_hat.scale
+    scalar = float(a_hat.scale.scales) * mid_scale
     if b_scale.granularity == PER_TENSOR:
         scalar *= float(b_scale.scales)
     row_scale, col_scale = scalar * s_x.astype(np.float64), b_scale.scales.astype(np.float64)

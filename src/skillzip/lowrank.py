@@ -228,14 +228,15 @@ def _orth_columns(y: np.ndarray) -> np.ndarray:
     y = y.astype(np.float64).copy()
     m, k = y.shape
     q = np.zeros((m, k), dtype=np.float64)
+    yt = np.ascontiguousarray(y.T)  # each row the contiguous copy np.linalg.norm dots with itself
+    scales = np.maximum(np.sqrt(np.matmul(yt[:, None, :], yt[:, :, None]).reshape(k)), 1.0)
     for j in range(k):
         col = y[:, j]
         for _ in range(2):
             if j:
                 col = col - q[:, :j] @ (q[:, :j].T @ col)
         norm = np.linalg.norm(col)
-        scale = max(np.linalg.norm(y[:, j]), 1.0)
-        if norm > 1e-12 * scale:
+        if norm > 1e-12 * scales[j]:
             q[:, j] = col / norm
         else:
             q[:, j] = _complete_column(q, j)

@@ -113,6 +113,41 @@ def test_complete_column_when_no_basis_vector_keeps_half():
     assert np.abs(u.T @ u - np.eye(9)).max() <= 1e-12
 
 
+def _orth_columns_per_column(y):
+    """`lowrank._orth_columns` with each threshold norm taken by its own
+    np.linalg.norm, as the stacked ddot replaced; oracle."""
+    y = y.astype(np.float64).copy()
+    m, k = y.shape
+    q = np.zeros((m, k), dtype=np.float64)
+    for j in range(k):
+        col = y[:, j]
+        for _ in range(2):
+            if j:
+                col = col - q[:, :j] @ (q[:, :j].T @ col)
+        norm = np.linalg.norm(col)
+        if norm > 1e-12 * max(np.linalg.norm(y[:, j]), 1.0):
+            q[:, j] = col / norm
+        else:
+            q[:, j] = lowrank._complete_column(q, j)
+    return q
+
+
+@pytest.mark.parametrize("m,k", [(1, 1), (7, 3), (40, 12), (300, 72)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_orth_columns_threshold_norms_match_per_column_bits(m, k, order):
+    """The threshold norms max(||y_j||, 1), taken for all columns in one
+    stacked matmul, give the bits of one np.linalg.norm per column, also
+    with a zero column and a dependent column that only its own norm's
+    threshold rejects (a residual of ~1e-6 against 1e-12 ||y_j|| ~0.07)."""
+    rng = np.random.default_rng(m * 100 + k)
+    y = rng.standard_normal((m, k)) * 10.0 ** rng.integers(-4, 5, size=k)
+    y[:, k // 2] = 0.0
+    if k > 2:
+        y[:, -1] = 1e8 * y[:, 0] + 1e-7 * rng.standard_normal(m)
+    y = np.asarray(y, order=order)
+    assert lowrank._orth_columns(y).tobytes() == _orth_columns_per_column(y).tobytes()
+
+
 def test_agreement_with_power_iteration():
     rng = Prng(66)
     for trial in range(5):

@@ -420,6 +420,41 @@ def test_worker_error_keeps_class_prefix_and_order(monkeypatch, tmp_path):
         assert multiprocessing.active_children() == []
 
 
+def test_an_early_pool_error_leaves_most_jobs_unstarted(monkeypatch, tmp_path):
+    """When job 0 of a 20-job pooled call fails, in its worker or in its
+    compile here, compress() raises without starting the other jobs: the
+    unwinding loop closes the pool's map, which cancels every queued
+    future, so only those already handed to a worker run."""
+    import skillzip.pipeline
+
+    suite = make_suite(13, n_tasks=4, n_layers=5, c_in=24, c_out=16, calib_tokens=8, eval_tokens=4, shared_rank=4, task_rank=2)
+    config = PipelineConfig(seed=4, n_candidates=1)
+    first = f"task {list(suite.tuned)[0]!r} layer 'layer0': "
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    jobs = []  # each smoothed matrix's bytes, in job order
+    _spy_svd(monkeypatch, tmp_path / "probe", lambda w: jobs.append(w.tobytes()))
+    compress(suite.base, suite.tuned, suite.calib, config)
+    assert len(set(jobs)) == len(jobs) == 20
+
+    def slow(w, failing):  # every job takes 0.1 s: 1 s for all 20 on two workers
+        time.sleep(0.1)
+        return "job 0 failed" if failing and w.tobytes() == jobs[0] else None
+
+    def compile_fails(name, *args, **kwargs):
+        raise ValidationError("compile failed")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for where, message in (("worker", "job 0 failed"), ("compile", "compile failed")):
+        if where == "compile":
+            monkeypatch.setattr(skillzip.pipeline, "compile_layer", compile_fails)
+        log = tmp_path / f"pids-{where}"
+        _spy_svd(monkeypatch, log, lambda w: slow(w, where == "worker"))
+        with pytest.raises(ValidationError, match=f"^{re.escape(first + message)}$"):
+            compress(suite.base, suite.tuned, suite.calib, config)
+        assert len(_pids(log)) < 20
+        assert multiprocessing.active_children() == []
+
+
 def test_in_process_jobs_stop_at_the_first_failure(monkeypatch, tmp_path):
     """With one usable CPU the jobs run here in (task, layer) order, and no
     job after the first failing one runs."""

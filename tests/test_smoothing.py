@@ -8,13 +8,15 @@ from skillzip import (
     ShapeError,
     ValidationError,
     apply_smooth,
+    compile_layer,
     compute_smooth,
+    forward_quantized,
     fold_rotation,
     sample_rotation,
     select_rotation,
 )
 import gram_schmidt_reference
-from skillzip import smoothing
+from skillzip import kernel, smoothing
 from skillzip.prng import Prng
 from skillzip.tensors import fro_norm, matmul
 
@@ -418,6 +420,102 @@ def test_selection_dimension_checks():
         select_rotation(a, np.ones(4), x, QuantConfig(), Prng(0))
 
 
+def _compiled_loss(a, b, x, reference, config):
+    """A candidate's loss by the public path: a layer compiled with unit
+    smoothing on the held X, then run on it; oracle."""
+    layer = compile_layer("oracle", np.ones(a.shape[0], dtype=np.float32), a, b, config, x_calib=x)
+    return fro_norm(reference - forward_quantized(layer, x))
+
+
+def _compiled_choice(a, b, x, config, prng, n):
+    """(index, loss, q) of the candidate with the lowest `_compiled_loss`, lowest index on ties."""
+    reference = matmul(matmul(x, a), b)
+    best = (0, _compiled_loss(a, b, x, reference, config), np.eye(a.shape[1], dtype=np.float32))
+    for idx, q in enumerate(smoothing._draw_rotations(prng, a.shape[1], n), start=1):
+        if q is not None:
+            loss = _compiled_loss(*fold_rotation(a, b, q), x, reference, config)
+            best = (idx, loss, q) if loss < best[1] else best
+    return best
+
+
+def _oracle_case(t=10, c_in=16, r=6, c_out=12, dtype=np.float32, zero_a_column=False, **quant):
+    rng = Prng(4100 + t + r)
+    a, b = _energy_concentrated_factors(rng, c_in, r, c_out)
+    x = rng.uniform_matrix(t, c_in, -5, 5)
+    if zero_a_column:
+        a[:, r // 2] = 0.0
+    if dtype == np.float64:  # values with more bits than float32 holds
+        a, b, x = (m.astype(np.float64) / 3.0 for m in (a, b, x))
+    return a, b, x, QuantConfig(**quant)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        {},
+        {"gran_x": "per-tensor"},
+        {"bits_x": 4},
+        {"bits_a": 4, "bits_b": 4},
+        {"bits_a": 4},
+        {"gran_b": "per-tensor"},
+        {"bits_b": 4, "gran_b": "per-tensor", "gran_x": "per-tensor"},
+        {"dtype": np.float64},
+        {"dtype": np.float64, "gran_x": "per-tensor", "bits_b": 4},
+        {"t": 1},
+        {"t": 1, "gran_x": "per-tensor"},
+        {"r": 1},
+        {"zero_a_column": True},
+    ],
+    ids=repr,
+)
+def test_selection_matches_the_compiled_layer_oracle(case):
+    """select_rotation's scoring on one X quantization picks the index,
+    loss bits and rotation bytes that compiling each candidate and running
+    it on the held X gives."""
+    a, b, x, config = _oracle_case(**case)
+    choice = select_rotation(a, b, x, config, Prng(5), n_candidates=6)
+    idx, loss, q = _compiled_choice(a, b, x, config, Prng(5), 6)
+    assert (choice.candidate_index, choice.loss.hex(), choice.q.tobytes()) == (idx, loss.hex(), q.tobytes())
+
+
+def test_selection_quantizes_x_once(monkeypatch):
+    """One select_rotation call takes X's group scales once, for all of
+    its candidates, and leaves the caller's X as it was."""
+    a, b, x, config = _oracle_case()
+    held = x.copy()
+    calls = []
+    real = kernel.group_scales
+    monkeypatch.setattr(kernel, "group_scales", lambda *args: calls.append(args[0].shape) or real(*args))
+    select_rotation(a, b, x, config, Prng(5), n_candidates=6)
+    assert calls == [x.shape]
+    assert x.tobytes() == held.tobytes()
+
+
+@pytest.mark.parametrize("operand", [0, 1, 2])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300])
+def test_selection_refuses_non_finite_or_float32_overflowing_input(monkeypatch, operand, value):
+    """A NaN, an infinity or a float64 value past the float32 range in A, B
+    or X is refused before any compute."""
+    args = [m.astype(np.float64) for m in _oracle_case()[:3]]
+    args[operand][0, 0] = value
+    monkeypatch.setattr(smoothing, "matmul", lambda *_: pytest.fail("computed before refusing"))
+    with pytest.raises(ValidationError, match="finite and within float32 range"):
+        select_rotation(*args, QuantConfig(), Prng(0), n_candidates=2)
+
+
+def test_compute_smooth_refuses_non_finite_input():
+    """Factors are floored at epsilon everywhere, so NaN or infinite stats
+    or weights have no factor to give."""
+    w = np.ones((3, 2), dtype=np.float32)
+    with pytest.raises(ValidationError, match="finite"):
+        compute_smooth(np.array([np.nan, np.inf, 1.0]), w)
+    with pytest.raises(ValidationError, match="finite"):
+        compute_smooth(np.array([np.inf, 1.0, 1.0]), w)
+    w[1, 0] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        compute_smooth(np.ones(3), w)
+
+
 @pytest.mark.parametrize("failing", [1, 2])
 def test_selection_skips_a_degenerate_candidate_and_keeps_indices(failing):
     """A candidate whose draws are not full rank is never scored or chosen;
@@ -430,11 +528,11 @@ def test_selection_skips_a_degenerate_candidate_and_keeps_indices(failing):
     choice = select_rotation(a, b, x, config, _ScriptedDraws(values), n_candidates=n)
 
     reference = matmul(matmul(x, a), b)
-    pool = {0: (select_rotation(a, b, x, config, Prng(0), n_candidates=0).loss, np.eye(r, dtype=np.float32))}
+    pool = {0: (_compiled_loss(a, b, x, reference, config), np.eye(r, dtype=np.float32))}
     for idx in range(1, n + 1):
         if idx != failing:
             q = sample_rotation(_ScriptedDraws(blocks[idx - 1]), r)
-            pool[idx] = (smoothing._candidate_loss(*fold_rotation(a, b, q), x, reference, config), q)
+            pool[idx] = (_compiled_loss(*fold_rotation(a, b, q), x, reference, config), q)
     best = min(pool, key=lambda idx: (pool[idx][0], idx))
     assert best > failing
     assert choice.candidate_index == best
